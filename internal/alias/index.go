@@ -284,6 +284,10 @@ type FuncIndex struct {
 	// verdicts, built once so the planner's hottest path allocates nothing.
 	// Their details slices are shared and must never be mutated.
 	sweepDisjoint, sweepGlobal Verdict
+	// localRange is the shared details slice of a local-range proof at
+	// rangeMember, the third Fig. 14 reason beside the two above: with it
+	// evaluate allocates nothing for any detail the range member reports.
+	localRange []string
 }
 
 // Len returns the universe size.
@@ -323,13 +327,37 @@ func (fi *FuncIndex) evaluate(i, j int32) Verdict {
 			}
 		}
 		if detail != "" {
-			if v.details == nil {
-				v.details = make([]string, len(fi.cols))
+			if shared := fi.sharedDetails(mi, detail); v.details == nil && shared != nil {
+				v.details = shared
+			} else {
+				// A detail from a second range member: copy, since
+				// v.details may be one of the shared slices.
+				d := make([]string, len(fi.cols))
+				copy(d, v.details)
+				d[mi] = detail
+				v.details = d
 			}
-			v.details[mi] = detail
 		}
 	}
 	return v
+}
+
+// sharedDetails returns the shared details slice that carries reason at
+// member mi, nil unless mi is rangeMember and reason one of its three
+// Fig. 14 reasons. Callers must not mutate the result.
+func (fi *FuncIndex) sharedDetails(mi int, reason string) []string {
+	if mi != fi.rangeMember {
+		return nil
+	}
+	switch reason {
+	case "disjoint-support":
+		return fi.sweepDisjoint.details
+	case "global-range":
+		return fi.sweepGlobal.details
+	case "local-range":
+		return fi.localRange
+	}
+	return nil
 }
 
 // Index is a module's compiled alias index: one FuncIndex per function,
@@ -403,6 +431,7 @@ func buildFuncIndex(mg *Manager, f *ir.Func, universe []*ir.Value) *FuncIndex {
 			details: detailAt(len(fi.cols), mi, "disjoint-support")}
 		fi.sweepGlobal = Verdict{Result: NoAlias, Resolved: mi, mask: 1 << uint(mi),
 			details: detailAt(len(fi.cols), mi, "global-range")}
+		fi.localRange = detailAt(len(fi.cols), mi, "local-range")
 	}
 	return fi
 }

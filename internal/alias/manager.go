@@ -77,10 +77,14 @@ type ManagerStats struct {
 	CacheHits int64
 	Computed  int64 // counted computations (see above)
 	NoAlias   int64 // counted computations with a no-alias verdict
-	// Cached, Misses, and Evictions describe the memo cache: live entries
-	// (bounded by CacheLimit at every instant), lookups that had to
-	// compute, and entries displaced under churn.
-	Cached    int64
+	// Cached and Evictions describe the memo cache: live entries (bounded
+	// by CacheLimit at every instant) and entries displaced under churn.
+	Cached int64
+	// Misses counts the lookups that had to compute, winner-only like
+	// Computed: a goroutine that loses an install race tallies as a cache
+	// hit, not a miss. With the memo on Misses equals Computed, so
+	// Queries == CacheHits + Misses holds under concurrency; 0 with the
+	// memo off.
 	Misses    int64
 	Evictions int64
 	Members   []MemberStats
@@ -380,12 +384,6 @@ func (mg *Manager) Stats() ManagerStats {
 		Queries:   mg.queries.Load(),
 		CacheHits: mg.cacheHits.Load(),
 	}
-	if mg.cache != nil {
-		cs := mg.cache.Stats()
-		st.Cached = int64(cs.Len)
-		st.Misses = cs.Misses
-		st.Evictions = cs.Evictions
-	}
 	st.Members = make([]MemberStats, len(mg.members))
 	for i, m := range mg.members {
 		st.Members[i] = MemberStats{Name: m.Name(), Details: map[string]int64{}}
@@ -403,6 +401,15 @@ func (mg *Manager) Stats() ManagerStats {
 			}
 		}
 		sh.mu.Unlock()
+	}
+	if mg.cache != nil {
+		cs := mg.cache.Stats()
+		st.Cached = int64(cs.Len)
+		st.Evictions = cs.Evictions
+		// Not cs.Misses: the cache also counts every racer that lost the
+		// install to a concurrent winner. The winner-only count is the one
+		// that reconciles with Queries and CacheHits.
+		st.Misses = st.Computed
 	}
 	return st
 }

@@ -264,6 +264,23 @@ func TestManagerWinnerOnlyCountPastLimit(t *testing.T) {
 	}
 }
 
+// TestNewManagerAllocatesLittle pins the memo's empty footprint: a manager
+// with default options sizes nothing for entries it has not cached yet, so
+// a module whose pairs the index answers keeps no empty memo buckets.
+func TestNewManagerAllocatesLittle(t *testing.T) {
+	m := progs.MessageBuffer()
+	members := []alias.Analysis{scevaa.New(m), basicaa.New(m), rbaa.New(m, pointer.Options{})}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			alias.NewManager(alias.ManagerOptions{}, members...)
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 64<<10 {
+		t.Errorf("NewManager allocated %d bytes, want under 64 KiB", got)
+	}
+}
+
 // TestManagerConcurrentHammer locks in the concurrent-query contract: many
 // goroutines fire the full query set (in both orientations and shifted
 // orders) at one Manager while others snapshot Stats. Run under -race this

@@ -36,6 +36,9 @@ func fullVerdictEqual(a, b alias.Verdict, members int) bool {
 	return true
 }
 
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
 // diffConfigs are randomly parameterized generator configs: the Fig. 13
 // idiom generators re-seeded and re-mixed, so every run of the corpus
 // covers programs none of the goldens pin down.
@@ -104,6 +107,40 @@ func TestIndexVerdictsIdenticalToManager(t *testing.T) {
 			t.Errorf("%s: %d/%d pairs index-inconclusive; same-function pointer pairs must all be covered",
 				cfg.Name, inconclusive, len(qs))
 		}
+	}
+}
+
+// TestIndexEvaluateAllocatesNothing pins the index's verdict path as
+// allocation-free: every Fig. 14 detail the range member reports is a
+// shared slice built with the index, so answering every pair of a
+// generated module allocates nothing.
+func TestIndexEvaluateAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	m := benchgen.Generate(benchgen.Fig13Configs()[0])
+	ix := alias.BuildIndex(newServiceChain(m, alias.ManagerOptions{CacheLimit: -1}), m)
+	if ix == nil {
+		t.Fatal("BuildIndex returned nil for a fully digestible chain")
+	}
+	qs := alias.Queries(m)
+	details := 0
+	for _, q := range qs {
+		v, ok := ix.Evaluate(q.P, q.Q)
+		if ok && v.Detail(2) != "" {
+			details++
+		}
+	}
+	if details == 0 {
+		t.Fatal("no pair carries an rbaa detail; the test would pass vacuously")
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		for _, q := range qs {
+			ix.Evaluate(q.P, q.Q)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("evaluating %d pairs allocated %v times, want 0", len(qs), allocs)
 	}
 }
 

@@ -166,6 +166,7 @@ func (c *IndexCache) lookup(key FuncKey, universe []*ir.Value, numValues, member
 		rangeMember:   e.fi.rangeMember,
 		sweepDisjoint: e.fi.sweepDisjoint,
 		sweepGlobal:   e.fi.sweepGlobal,
+		localRange:    e.fi.localRange,
 	}
 }
 

@@ -97,23 +97,12 @@ func New[K comparable, V any](capacity, shards int, hash func(K) uint64) *Cache[
 			max++
 		}
 		c.shards[i].max = max
-		c.shards[i].m = make(map[K]*entry[K, V], mapHint(max))
+		// Unsized: the capacity bound is a ceiling, not an expected
+		// population, and a memo the index leaves cold must not hold
+		// buckets for entries it never caches. Maps grow on demand.
+		c.shards[i].m = make(map[K]*entry[K, V])
 	}
 	return c
-}
-
-// mapHint caps the size hint for a shard's map. The capacity bound is a
-// ceiling, not an expected population: hinting the full bound preallocates
-// buckets for every slot up front (≈50 MB for the default 1M-entry memo,
-// per module, before a single verdict is cached), which is exactly the kind
-// of unaccounted resident memory the budget governor exists to prevent.
-// Maps grow on demand past the hint.
-func mapHint(max int) int {
-	const hintCap = 1024
-	if max > hintCap {
-		return hintCap
-	}
-	return max
 }
 
 // Resize rebounds a live cache to capacity entries, redistributing the
@@ -157,8 +146,9 @@ func (c *Cache[K, V]) Resize(capacity int) bool {
 			// entries alone leaves the shard holding buckets sized for its
 			// former population. Rebuilding the map is what makes a
 			// shrinking resize — the governor's degradation lever — return
-			// memory instead of merely capping future growth.
-			m := make(map[K]*entry[K, V], mapHint(max))
+			// memory instead of merely capping future growth. The rebuilt
+			// map is sized for the entries it keeps.
+			m := make(map[K]*entry[K, V], len(s.m))
 			for k, e := range s.m {
 				m[k] = e
 			}

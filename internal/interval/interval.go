@@ -408,7 +408,7 @@ func Rem(a, b Interval) Interval {
 	if a.provablyNonNeg() {
 		return ConstsIn(ownerOf2(a, b), 0, n-1)
 	}
-	return ConstsIn(ownerOf2(a, b), -(n-1), n-1)
+	return ConstsIn(ownerOf2(a, b), -(n - 1), n-1)
 }
 
 func constPoint(r Interval) (int64, bool) {

@@ -50,7 +50,7 @@ type lockOrderProblem struct {
 	findings map[token.Pos]string
 }
 
-func (p *lockOrderProblem) Entry() any              { return heldFact{} }
+func (p *lockOrderProblem) Entry() any                   { return heldFact{} }
 func (p *lockOrderProblem) FlowEdge(e *CEdge, f any) any { return f }
 
 func (p *lockOrderProblem) Join(a, b any) any {

@@ -3,12 +3,10 @@ package service
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/alias"
 	"repro/internal/ir"
-	"repro/internal/pool"
 	"repro/internal/telemetry"
 )
 
@@ -35,109 +33,111 @@ type Result struct {
 }
 
 // resolvedPair is a validated pair, pinned to its request index so the
-// aggregate stage can reassemble results in request order.
+// aggregate stage can reassemble results in request order. sh is the shard
+// the shard stage assigned it. Both fit an int32: a batch is at most
+// Config.MaxBatch pairs.
 type resolvedPair struct {
-	idx  int
-	p, q *ir.Value
+	idx, sh int32
+	p, q    *ir.Value
 }
 
 // shard groups the resolved pairs of one function. Shards are the pipeline's
 // locality unit: a function's queries hit the same analysis rows, so one
 // worker streams through them with a warm cache.
 type shard struct {
-	fn    string
+	fn    *ir.Func
+	n     int
 	pairs []resolvedPair
 }
 
-// Hot-path buffer pools. A steady client re-sends equally sized batches, so
-// the response slice and the resolved-pair scratch — the two per-request
-// allocations proportional to MaxBatch — are recycled instead of re-made.
-// Buffers are returned only by request handlers that finished encoding;
-// RunBatch callers that keep the results simply never return them.
-var (
-	resultBufPool   = sync.Pool{New: func() any { return new([]Result) }}
-	resolvedBufPool = sync.Pool{New: func() any { return new([]resolvedPair) }}
-)
+// name is the type of the names resolveNames looks up: the fast path's
+// sub-slices of the request body, or the strings of decoded Pairs.
+type name interface{ ~string | ~[]byte }
 
-func getResultBuf(n int) []Result {
-	bp := resultBufPool.Get().(*[]Result)
-	if cap(*bp) < n {
-		*bp = make([]Result, n)
-	}
-	return (*bp)[:n]
-}
-
-// putResultBuf recycles a buffer obtained from getResultBuf. The caller
-// must be done reading it: the next request will overwrite every slot.
-func putResultBuf(res []Result) { resultBufPool.Put(&res) }
-
-func getResolvedBuf(n int) []resolvedPair {
-	bp := resolvedBufPool.Get().(*[]resolvedPair)
-	if cap(*bp) < n {
-		*bp = make([]resolvedPair, n)
-	}
-	return (*bp)[:n]
-}
-
-func putResolvedBuf(rs []resolvedPair) { resolvedBufPool.Put(&rs) }
-
-// resolveBatch is the validate stage: every name must resolve against the
-// handle's value index and both values must be pointer-typed. The first
-// offending pair aborts the batch (the client sent a malformed request;
-// partial evaluation would make responses order-dependent). The returned
-// slice is pooled scratch; RunBatch recycles it after the query stage.
-func resolveBatch(h *Handle, pairs []Pair) ([]resolvedPair, error) {
-	out := getResolvedBuf(len(pairs))
-	fail := func(format string, args ...any) ([]resolvedPair, error) {
-		putResolvedBuf(out)
-		return nil, fmt.Errorf(format, args...)
-	}
+// resolveNames is the validate stage: every name must resolve against the
+// handle's value index and both values must be pointer-typed. names(i)
+// yields pair i's function and value names; out has one slot per pair. The
+// first offending pair aborts the batch (the client sent a malformed
+// request; partial evaluation would make responses order-dependent). The
+// map lookups convert names with string(…), which does not allocate.
+func resolveNames[S name](h *Handle, out []resolvedPair, names func(i int) (fn, a, b S)) error {
 	// Batches overwhelmingly query one function repeatedly (the shard stage
 	// depends on it), so the per-function value map is looked up once per
 	// run of equal names, not twice per pair.
-	var curFn string
+	var curFn S
 	var vals map[string]*ir.Value
-	for i, pr := range pairs {
-		if vals == nil || pr.Func != curFn {
-			vals = h.values[pr.Func]
+	for i := range out {
+		fn, a, b := names(i)
+		if vals == nil || string(fn) != string(curFn) {
+			vals = h.values[string(fn)]
 			if vals == nil {
-				return fail("pair %d: unknown function %q", i, pr.Func)
+				return fmt.Errorf("pair %d: unknown function %q", i, fn)
 			}
-			curFn = pr.Func
+			curFn = fn
 		}
-		p, ok := vals[pr.A]
+		p, ok := vals[string(a)]
 		if !ok {
-			return fail("pair %d: no value %q in function %q", i, pr.A, pr.Func)
+			return fmt.Errorf("pair %d: no value %q in function %q", i, a, fn)
 		}
-		q, ok := vals[pr.B]
+		q, ok := vals[string(b)]
 		if !ok {
-			return fail("pair %d: no value %q in function %q", i, pr.B, pr.Func)
+			return fmt.Errorf("pair %d: no value %q in function %q", i, b, fn)
 		}
 		if p.Typ != ir.TPtr {
-			return fail("pair %d: value %q is not pointer-typed", i, pr.A)
+			return fmt.Errorf("pair %d: value %q is not pointer-typed", i, a)
 		}
 		if q.Typ != ir.TPtr {
-			return fail("pair %d: value %q is not pointer-typed", i, pr.B)
+			return fmt.Errorf("pair %d: value %q is not pointer-typed", i, b)
 		}
-		out[i] = resolvedPair{idx: i, p: p, q: q}
+		out[i] = resolvedPair{idx: int32(i), p: p, q: q}
 	}
-	return out, nil
+	return nil
+}
+
+// resolveBatch is resolveNames over decoded Pairs.
+func resolveBatch(h *Handle, pairs []Pair, out []resolvedPair) error {
+	return resolveNames(h, out, func(i int) (string, string, string) {
+		return pairs[i].Func, pairs[i].A, pairs[i].B
+	})
 }
 
 // shardByFunc is the shard stage: pairs grouped by function, shards ordered
-// by first appearance, request order preserved within each shard.
-func shardByFunc(pairs []Pair, rs []resolvedPair) []shard {
-	index := map[string]int{}
-	var shards []shard
-	for i, rp := range rs {
-		fn := pairs[i].Func
-		si, ok := index[fn]
-		if !ok {
-			si = len(shards)
-			index[fn] = si
-			shards = append(shards, shard{fn: fn})
+// by first appearance, request order preserved within each shard. Grouping
+// is a stable counting sort into b's scratch; a batch over one function,
+// the common case, is its own single shard and is not copied.
+func (b *queryBuf) shardByFunc(rs []resolvedPair) []shard {
+	shards := b.shards[:0]
+	index := map[*ir.Func]int32{}
+	cur := int32(-1)
+	for i := range rs {
+		f := rs[i].p.Func
+		if cur < 0 || shards[cur].fn != f {
+			si, ok := index[f]
+			if !ok {
+				si = int32(len(shards))
+				index[f] = si
+				shards = append(shards, shard{fn: f})
+			}
+			cur = si
 		}
-		shards[si].pairs = append(shards[si].pairs, rp)
+		shards[cur].n++
+		rs[i].sh = cur
+	}
+	b.shards = shards
+	if len(shards) == 1 {
+		shards[0].pairs = rs
+		return shards
+	}
+	b.sorted = grow(b.sorted, len(rs))
+	off := 0
+	for si := range shards {
+		n := shards[si].n
+		shards[si].pairs = b.sorted[off : off : off+n]
+		off += n
+	}
+	for _, rp := range rs {
+		sh := &shards[rp.sh]
+		sh.pairs = append(sh.pairs, rp)
 	}
 	return shards
 }
@@ -149,8 +149,8 @@ const batchChunk = 256
 
 // evaluate is the query-worker stage plus the order-restoring half of the
 // aggregate stage: shards are cut into chunks, chunks fan out across the
-// service pool, and each worker writes results into the request-indexed
-// slots of the output slice. The result is byte-identical to a sequential
+// service pool, and each worker writes verdicts into the request-indexed
+// slots of b's verdict buffer. The result is identical to a sequential
 // evaluation because slot i depends only on pair i.
 //
 // With a planner on the handle, each shard is first swept into a plan (the
@@ -162,10 +162,11 @@ const batchChunk = 256
 //
 // Cancellation is cooperative at chunk granularity: a shed or timed-out
 // request stops dispatching chunks (ForEachCtx) and returns the context's
-// error; chunks already running finish — their slot writes are discarded
-// with the pooled buffer.
-func (s *Service) evaluate(ctx context.Context, tr *telemetry.Trace, h *Handle, shards []shard, n int) ([]Result, error) {
-	out := getResultBuf(n)
+// error; chunks already running finish before ForEachCtx returns, and their
+// slot writes are discarded with the pooled buffer.
+func (s *Service) evaluate(ctx context.Context, tr *telemetry.Trace, h *Handle, b *queryBuf, shards []shard, n int) ([]alias.Verdict, error) {
+	out := grow(b.verdicts, n)
+	b.verdicts = out
 	type task struct {
 		sh     int
 		lo, hi int
@@ -176,24 +177,23 @@ func (s *Service) evaluate(ctx context.Context, tr *telemetry.Trace, h *Handle, 
 	}
 	tasks := make([]task, 0, ntasks)
 	for si := range shards {
-		for _, c := range pool.Chunks(len(shards[si].pairs), batchChunk) {
-			tasks = append(tasks, task{sh: si, lo: c[0], hi: c[1]})
+		for lo := 0; lo < len(shards[si].pairs); lo += batchChunk {
+			tasks = append(tasks, task{sh: si, lo: lo, hi: min(lo+batchChunk, len(shards[si].pairs))})
 		}
 	}
 	planStart := time.Now()
 	var plans []*alias.Plan
 	if h.Planner != nil {
 		plans = make([]*alias.Plan, len(shards))
-		vals := make([]*ir.Value, 0, 2*batchChunk)
 		for si := range shards {
 			if err := ctx.Err(); err != nil {
-				putResultBuf(out)
 				return nil, err
 			}
-			vals = vals[:0]
+			vals := b.vals[:0]
 			for _, rp := range shards[si].pairs {
 				vals = append(vals, rp.p, rp.q)
 			}
+			b.vals = vals
 			plans[si] = h.Planner.Plan(vals)
 		}
 	}
@@ -204,26 +204,26 @@ func (s *Service) evaluate(ctx context.Context, tr *telemetry.Trace, h *Handle, 
 			var tally alias.PlanTally
 			plan := plans[t.sh]
 			for _, rp := range shards[t.sh].pairs[t.lo:t.hi] {
-				out[rp.idx] = encodeVerdict(h.Snap, plan.Evaluate(rp.p, rp.q, &tally))
+				out[rp.idx] = plan.Evaluate(rp.p, rp.q, &tally)
 			}
 			h.Planner.Fold(tally)
 			return
 		}
 		for _, rp := range shards[t.sh].pairs[t.lo:t.hi] {
-			out[rp.idx] = encodeVerdict(h.Snap, h.Snap.Evaluate(rp.p, rp.q))
+			out[rp.idx] = h.Snap.Evaluate(rp.p, rp.q)
 		}
 	})
 	observeStage(s.metrics.stageEvaluate, stgEvaluate, tr, evalStart)
 	if err != nil {
-		putResultBuf(out)
 		return nil, err
 	}
 	return out, nil
 }
 
 // encodeVerdict renders one verdict with member names resolved against the
-// snapshot's chain. The prover list is sized exactly from the verdict's
-// mask, so encoding never grows a slice.
+// snapshot's chain: the Result form RunBatch returns. appendVerdict writes
+// the same rendering straight to the wire. The prover list is sized exactly
+// from the verdict's mask, so encoding never grows a slice.
 func encodeVerdict(snap alias.Snapshot, v alias.Verdict) Result {
 	r := Result{Result: v.Result.String()}
 	if v.Result == alias.NoAlias && v.Resolved >= 0 {
@@ -243,26 +243,27 @@ func encodeVerdict(snap alias.Snapshot, v alias.Verdict) Result {
 	return r
 }
 
-// RunBatch pushes one decoded batch through validate → shard → plan → query
-// workers and returns the request-ordered results. It is the programmatic
-// core of POST /v1/query, exported for golden tests and embedders. Stage
-// latencies land in the service's /metrics histograms, and when ctx carries
-// a telemetry.Trace (the HTTP envelope installs one) each stage also
-// records a span on it. The returned slice comes from a pool; internal
-// callers that finished encoding recycle it with putResultBuf, external
-// callers may keep it indefinitely.
+// runPipeline pushes one decoded batch of n pairs through validate → shard
+// → plan → query workers and returns the request-ordered verdicts, which
+// live in b's verdict buffer. resolve is the validate stage: it fills one
+// resolvedPair per pair from h or reports the first offending one. The checks run
+// in the order clients see them: module state, empty batch, the MaxBatch
+// bound, the deadline, then name resolution, so an oversized batch gets
+// the size error whatever names it carries. Stage latencies land in the
+// service's /metrics histograms, and when ctx carries a telemetry.Trace
+// (the HTTP envelope installs one) each stage also records a span on it.
 //
 // aliaslint:hotpath — scrape callbacks must not take locks this path holds
 // (enforced by the metricreg analyzer through the lock summaries).
-func (s *Service) RunBatch(ctx context.Context, h *Handle, pairs []Pair) ([]Result, error) {
+func (s *Service) runPipeline(ctx context.Context, h *Handle, b *queryBuf, n int, resolve func(h *Handle, out []resolvedPair) error) ([]alias.Verdict, error) {
 	if h.State() != StateReady {
 		return nil, fmt.Errorf("module %q is %s", h.Name, h.State())
 	}
-	if len(pairs) == 0 {
+	if n == 0 {
 		return nil, fmt.Errorf("empty batch")
 	}
-	if len(pairs) > s.cfg.MaxBatch {
-		return nil, fmt.Errorf("batch has %d pairs, exceeding the %d-pair limit", len(pairs), s.cfg.MaxBatch)
+	if n > s.cfg.MaxBatch {
+		return nil, fmt.Errorf("batch has %d pairs, exceeding the %d-pair limit", n, s.cfg.MaxBatch)
 	}
 	// The deadline/cancellation check runs before every stage (and per
 	// chunk inside evaluate, via ForEachCtx) so a shed or timed-out batch
@@ -272,13 +273,37 @@ func (s *Service) RunBatch(ctx context.Context, h *Handle, pairs []Pair) ([]Resu
 	}
 	tr := telemetry.FromContext(ctx)
 	start := time.Now()
-	rs, err := resolveBatch(h, pairs)
-	if err != nil {
+	b.resolved = grow(b.resolved, n)
+	if err := resolve(h, b.resolved); err != nil {
 		return nil, err
 	}
 	now := observeStage(s.metrics.stageValidate, stgValidate, tr, start)
-	shards := shardByFunc(pairs, rs)
-	putResolvedBuf(rs)
+	shards := b.shardByFunc(b.resolved)
 	observeStage(s.metrics.stageShard, stgShard, tr, now)
-	return s.evaluate(ctx, tr, h, shards, len(pairs))
+	return s.evaluate(ctx, tr, h, b, shards, n)
+}
+
+// RunBatch pushes one decoded batch through validate → shard → plan → query
+// workers and returns the request-ordered results. It is the programmatic
+// core of POST /v1/query, exported for golden tests and embedders: the
+// handler writes the same verdicts straight to the wire, in bytes equal to
+// json.Marshal of a QueryResponse holding these results. Stages are
+// recorded as runPipeline describes. The returned slice is the caller's.
+//
+// aliaslint:hotpath — scrape callbacks must not take locks this path holds
+// (enforced by the metricreg analyzer through the lock summaries).
+func (s *Service) RunBatch(ctx context.Context, h *Handle, pairs []Pair) ([]Result, error) {
+	b := getQueryBuf()
+	defer putQueryBuf(b)
+	verdicts, err := s.runPipeline(ctx, h, b, len(pairs), func(h *Handle, out []resolvedPair) error {
+		return resolveBatch(h, pairs, out)
+	})
+	if err != nil {
+		return nil, err
+	}
+	results := make([]Result, len(verdicts))
+	for i, v := range verdicts {
+		results[i] = encodeVerdict(h.Snap, v)
+	}
+	return results, nil
 }

@@ -47,9 +47,9 @@ func (s BuildState) String() string {
 // Handle is one registered module: the verified IR, the analysis chain
 // behind its read-only snapshot, and the value index the validate stage
 // resolves query names against. The built fields (Mod, Snap, IRStats,
-// PairQueries, values) are written exactly once — before the state turns
-// Ready — and are immutable afterwards; readers must observe State() ==
-// StateReady before touching them.
+// PairQueries, values, wire) are written exactly once — before the state
+// turns Ready — and are immutable afterwards; readers must observe State()
+// == StateReady before touching them.
 //
 // Handles are refcounted. Every registry lookup (Acquire, Get, List) pins
 // the handle; callers release the pin with Release when done. A handle
@@ -84,6 +84,9 @@ type Handle struct {
 
 	// values indexes func name → value name → value for the validate stage.
 	values map[string]map[string]*ir.Value
+	// wire holds the module and member names pre-quoted for the response
+	// encoder.
+	wire wireNames
 
 	// mgr is the manager behind Snap, kept only so the memory-budget
 	// governor can rebound the verdict memo at runtime; the query path
@@ -305,6 +308,7 @@ func (h *Handle) runBuild(src string, maxSourceBytes int, opts alias.ManagerOpti
 	}
 	h.Mod = m
 	h.Snap = mgr.Snapshot()
+	h.wire = newWireNames(h.Name, h.Snap)
 	if ix != nil {
 		h.Planner = alias.NewPlanner(h.Snap, ix)
 	}

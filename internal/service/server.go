@@ -11,6 +11,7 @@ import (
 
 	"strconv"
 
+	"repro/internal/alias"
 	"repro/internal/budget"
 	"repro/internal/telemetry"
 )
@@ -587,9 +588,14 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.releaseQuery()
-	var req QueryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes))
-	if err := dec.Decode(&req); err != nil {
+	// Decode: the body is read in full into a pooled buffer, then scanned in
+	// the fast shape or decoded by encoding/json (see codec.go). Reading
+	// first means a body past MaxBatchBytes always gets the 413, even when
+	// a complete JSON value precedes the excess.
+	buf := getQueryBuf()
+	defer putQueryBuf(buf)
+	buf.body.Reset()
+	if _, err := buf.body.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes)); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			m.queryErrors.With("body_too_large").Inc()
@@ -601,24 +607,30 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
+	module, npairs, err := buf.decode(s.cfg.MaxBatch)
+	if err != nil {
+		m.queryErrors.With("decode").Inc()
+		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+		return
+	}
 	observeStage(m.stageDecode, stgDecode, tr, start)
 	// Acquire pins the handle for the whole batch: a concurrent DELETE or
 	// eviction retires the module but teardown waits for our Release.
-	h, ok := s.reg.Acquire(req.Module)
+	h, ok := s.reg.Acquire(module)
 	if !ok {
 		m.queryErrors.With("unknown_module").Inc()
-		writeError(w, http.StatusNotFound, "module %q not registered", req.Module)
+		writeError(w, http.StatusNotFound, "module %q not registered", module)
 		return
 	}
 	defer h.Release()
 	switch h.State() {
 	case StateBuilding:
 		m.queryErrors.With("building").Inc()
-		writeError(w, http.StatusConflict, "module %q is still building", req.Module)
+		writeError(w, http.StatusConflict, "module %q is still building", module)
 		return
 	case StateFailed:
 		m.queryErrors.With("failed").Inc()
-		writeError(w, http.StatusConflict, "module %q failed to build: %s", req.Module, h.Err())
+		writeError(w, http.StatusConflict, "module %q failed to build: %s", module, h.Err())
 		return
 	}
 	ctx := r.Context()
@@ -629,8 +641,8 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// The injector runs under the deadline: an injected stall is charged
 	// against the batch exactly like real slow evaluation.
-	s.injectQuery(req.Module, len(req.Pairs))
-	results, err := s.RunBatch(ctx, h, req.Pairs)
+	s.injectQuery(module, npairs)
+	verdicts, err := s.runPipeline(ctx, h, buf, npairs, buf.resolve)
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
@@ -649,30 +661,32 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	aggStart := time.Now()
-	resp := QueryResponse{Module: req.Module, Results: results}
-	for _, res := range results {
-		if res.Result == "no-alias" {
-			resp.NoAlias++
+	noAlias := 0
+	for i := range verdicts {
+		if verdicts[i].Result == alias.NoAlias {
+			noAlias++
 		}
 	}
 	now := observeStage(m.stageAggregate, stgAggregate, tr, aggStart)
+	var echo *TraceEcho
 	if r.URL.Query().Get("trace") == "1" && tr != nil {
-		echo := &TraceEcho{RequestID: tr.ID}
+		echo = &TraceEcho{RequestID: tr.ID}
 		for _, sp := range tr.Spans() {
 			echo.Spans = append(echo.Spans, SpanEcho{
 				Stage:      sp.Stage,
 				DurationUS: float64(sp.Duration.Nanoseconds()) / 1e3,
 			})
 		}
-		resp.Trace = echo
 	}
+	buf.out = appendResponse(buf.out[:0], h, verdicts, noAlias, echo)
 	s.injectResponse()
-	writeJSON(w, http.StatusOK, resp)
-	putResultBuf(results) // encoded: the buffer may serve the next batch
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(buf.out)
 	now = observeStage(m.stageEncode, stgEncode, tr, now)
 	m.queryDur.Observe(now.Sub(start).Seconds())
-	m.queryPairs.Add(int64(len(req.Pairs)))
-	m.batchPairs.Observe(float64(len(req.Pairs)))
+	m.queryPairs.Add(int64(npairs))
+	m.batchPairs.Observe(float64(npairs))
 }
 
 // observeBuild records one module build's outcome counters, duration

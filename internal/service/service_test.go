@@ -20,7 +20,7 @@ import (
 	"repro/internal/ir"
 )
 
-func fig1Source(t *testing.T) string {
+func fig1Source(t testing.TB) string {
 	t.Helper()
 	src, err := os.ReadFile("../../testdata/fig1.mc")
 	if err != nil {
