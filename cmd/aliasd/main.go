@@ -4,8 +4,7 @@
 //	aliasd                             # listen on 127.0.0.1:8417
 //	aliasd -addr 127.0.0.1:0 -portfile addr.txt   # random port, written to a file
 //	aliasd -parallel 8 -max-batch 8192 # bigger query worker pool and batches
-//	aliasd -cache-limit 4096 -evict-modules -build-workers 4
-//	                                   # small bounded LRU memo per module,
+//	aliasd -evict-modules -build-workers 4
 //	                                   # idle-LRU registry eviction, async builds
 //	aliasd -mem-budget 512MB -max-inflight 64 -query-timeout 2s
 //	                                   # watermark-governed degradation,
@@ -195,11 +194,9 @@ func main() {
 	maxBatchBytes := flag.String("max-batch-bytes", "", "maximum /v1/query request body size, e.g. 4MB (empty = 16MB default)")
 	maxSource := flag.Int("max-source-bytes", service.DefaultMaxSourceBytes, "maximum module source size accepted by /v1/modules")
 	maxModules := flag.Int("max-modules", service.DefaultMaxModules, "maximum registered modules")
-	cacheLimit := flag.Int("cache-limit", 0, "per-module verdict memo cache entries (0 = default 1M, negative disables caching)")
 	evictModules := flag.Bool("evict-modules", false, "evict the least-recently-queried module when the registry is full instead of refusing the upload")
 	buildWorkers := flag.Int("build-workers", service.DefaultBuildWorkers, "async module-build workers (POST /v1/modules?async=1)")
-	planner := flag.Bool("planner", true, "compile per-module alias indexes and answer batches through the sweep-line planner (false = legacy per-pair chain walks)")
-	memBudget := flag.String("mem-budget", "", "approximate process memory budget, e.g. 512MB; past 70% the daemon degrades caches, past 85% it sheds work (empty = unlimited)")
+	memBudget := flag.String("mem-budget", "", "approximate process memory budget, e.g. 512MB; past 70% the daemon evicts idle modules, past 85% it sheds work (empty = unlimited)")
 	maxInFlight := flag.Int("max-inflight", service.DefaultMaxInFlight, "maximum concurrently admitted /v1/query batches; excess is shed with 503 (negative = unbounded)")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-batch evaluation deadline; exceeded batches are cancelled mid-flight and shed with 503 (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight batches after SIGTERM before the server is forced down")
@@ -276,10 +273,8 @@ func main() {
 		MaxSourceBytes:  *maxSource,
 		MaxModules:      *maxModules,
 		Parallel:        *parallel,
-		CacheLimit:      *cacheLimit,
 		EvictModules:    *evictModules,
 		BuildWorkers:    *buildWorkers,
-		DisablePlanner:  !*planner,
 		MemBudget:       budgetBytes,
 		MaxInFlight:     *maxInFlight,
 		QueryTimeout:    *queryTimeout,
@@ -336,7 +331,7 @@ func main() {
 		}
 	}
 	fmt.Printf("aliasd: listening on %s\n", bound)
-	logger.Info("listening", "addr", bound, "parallel", *parallel, "planner", *planner,
+	logger.Info("listening", "addr", bound, "parallel", *parallel,
 		"mem_budget", budgetBytes, "max_inflight", *maxInFlight)
 
 	srv := &http.Server{

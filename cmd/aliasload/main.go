@@ -9,9 +9,9 @@
 // Modules are generated by internal/benchgen (smallest Fig. 13 programs
 // first, so default bursts stay fast), uploaded as textual IR, and their
 // paper-style pair enumerations are cycled through round-robin — total
-// queries beyond a module's unique pairs replay earlier pairs and exercise
-// the server-side memo cache. The JSON report (QPS, p50/p90/p99 latency,
-// cache hit rate) is the BENCH_service.json artifact CI tracks.
+// queries beyond a module's unique pairs replay earlier pairs. The JSON
+// report (QPS, p50/p90/p99 latency) is the BENCH_service.json artifact CI
+// tracks.
 //
 // -scenario bigbatch is the batch-planner workload: one generated module
 // whose single wide function yields thousands of same-function pointer
@@ -19,19 +19,12 @@
 // batches — the shape the sweep-line planner turns from O(N²) chain walks
 // into O(N log N) sweeps plus O(1) group compares. The report adds the
 // server's planner counters (groups formed, pairs short-circuited, fallback
-// rate) and, when the run is comparable to the embedded pre-planner
-// baseline (same scenario, batch and concurrency), the before/after QPS and
-// latency ratios.
+// rate).
 //
 // -scenario churn switches to the lifecycle workload: a cold flood sweeps
-// every module's full pair enumeration (pushing distinct pairs past a
-// small server-side cache limit), a hot phase then hammers a small working
-// set — whose hit rate the report breaks out as hot_set_hit_rate, the
-// number that separates an LRU memo (hot set stays cached) from the old
-// freeze-at-limit policy (hot set never admitted) — and a register/query/
-// delete mix (including async ?async=1 uploads polled to completion)
-// churns the module registry itself. The report adds the server's cache
-// eviction counters and eviction rate.
+// every module's full pair enumeration, then a register/query/delete mix
+// (including async ?async=1 uploads polled to completion) churns the
+// module registry itself.
 //
 // -scenario restart is the crash-recovery drill: it spawns its own aliasd
 // (-daemon-bin) with a -data-dir store, uploads modules and records their
@@ -44,7 +37,6 @@ package main
 
 import (
 	"bytes"
-	_ "embed"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -71,8 +63,7 @@ func main() {
 	queries := flag.Int("queries", 20000, "total pair queries to issue across all modules (steady scenario)")
 	batch := flag.Int("batch", 256, "pairs per /v1/query request")
 	concurrency := flag.Int("concurrency", 8, "concurrent client connections")
-	scenario := flag.String("scenario", "steady", "workload: steady (round-robin replay), churn (flood + hot set + register/evict mix), bigbatch (full-size single-function batches through the planner), soak (upload/query/delete cycles against a budget-constrained daemon) or restart (spawn aliasd with -data-dir, kill -9 mid-churn, restart, assert bit-identical recovery)")
-	hotRounds := flag.Int("hot-rounds", 20, "churn scenario: rounds over the hot working set")
+	scenario := flag.String("scenario", "steady", "workload: steady (round-robin replay), churn (flood + register/evict mix), bigbatch (full-size single-function batches through the planner), soak (upload/query/delete cycles against a budget-constrained daemon) or restart (spawn aliasd with -data-dir, kill -9 mid-churn, restart, assert bit-identical recovery)")
 	churnMods := flag.Int("churn-modules", 2, "churn scenario: async register/query/delete cycles")
 	cycles := flag.Int("cycles", 400, "soak scenario: upload/query/delete cycles (first fifth is unmeasured warmup)")
 	rssMaxRatio := flag.Float64("rss-max-ratio", 1.15, "soak scenario: fail when end RSS exceeds this multiple of the post-warmup RSS")
@@ -88,7 +79,6 @@ func main() {
 		queries:     *queries,
 		batch:       *batch,
 		concurrency: *concurrency,
-		hotRounds:   *hotRounds,
 		churnMods:   *churnMods,
 		cycles:      *cycles,
 		rssMaxRatio: *rssMaxRatio,
@@ -123,7 +113,6 @@ type loadConfig struct {
 	queries     int
 	batch       int
 	concurrency int
-	hotRounds   int
 	churnMods   int
 	cycles      int
 	rssMaxRatio float64
@@ -159,7 +148,6 @@ type report struct {
 	QPS            float64   `json:"qps"`
 	RequestsPerSec float64   `json:"requests_per_sec"`
 	LatencyMS      latencyMS `json:"latency_ms"`
-	CacheHitRate   float64   `json:"cache_hit_rate"`
 	NoAlias        int64     `json:"noalias"`
 
 	// Retry is the client-side backpressure ledger: every scenario runs
@@ -179,55 +167,20 @@ type report struct {
 	ServerLatencyMS *latencyMS `json:"server_latency_ms,omitempty"`
 	ServerP99Share  float64    `json:"server_p99_share,omitempty"`
 
-	// Churn-scenario columns: the server-side memo-cache eviction counters
-	// accumulated by the run, evictions per issued query, and the hit rate
-	// measured over the hot-set phase alone (the LRU-vs-frozen
-	// discriminator: an LRU keeps the hot set cached past the limit).
-	Evictions     int64   `json:"evictions,omitempty"`
-	EvictionRate  float64 `json:"eviction_rate,omitempty"`
-	HotSetHitRate float64 `json:"hot_set_hit_rate,omitempty"`
-	HotSetPairs   int     `json:"hot_set_pairs,omitempty"`
-	AsyncBuilds   int     `json:"async_builds,omitempty"`
-	ChurnDeletes  int     `json:"churn_deletes,omitempty"`
+	// Churn-scenario columns: the registry churn the run drove.
+	AsyncBuilds  int `json:"async_builds,omitempty"`
+	ChurnDeletes int `json:"churn_deletes,omitempty"`
 
 	// Bigbatch-scenario columns: the server's batch-planner counter deltas
 	// over the run (zero PlannerGroups means the server planned nothing —
-	// planner disabled or batches never reached it), plus the before/after
-	// comparison against the embedded pre-planner baseline when the runs
-	// are comparable (same scenario, batch size and concurrency).
-	PlannerGroups          int64   `json:"planner_groups,omitempty"`
-	PlannerPairs           int64   `json:"planner_pairs,omitempty"`
-	PlannerSweepNoAlias    int64   `json:"planner_sweep_noalias,omitempty"`
-	PlannerIndexPairs      int64   `json:"planner_index_pairs,omitempty"`
-	PlannerIndexNoAlias    int64   `json:"planner_index_noalias,omitempty"`
-	PlannerFallbackPairs   int64   `json:"planner_fallback_pairs,omitempty"`
-	PlannerFallbackNoAlias int64   `json:"planner_fallback_noalias,omitempty"`
-	PlannerFallbackRate    float64 `json:"planner_fallback_rate,omitempty"`
-	Baseline               *report `json:"baseline,omitempty"`
-	QPSSpeedupX            float64 `json:"qps_speedup_x,omitempty"`
-	P99SpeedupX            float64 `json:"p99_speedup_x,omitempty"`
-}
-
-// Pre-planner bigbatch numbers: the same scenario run against aliasd
-// -planner=false at the PR that introduced the planner, embedded the same
-// way internal/experiments embeds analysis_baseline.json, so the report
-// emits before/after ratios instead of a bare snapshot.
-//
-//go:embed baseline_bigbatch.json
-var bigbatchBaselineJSON []byte
-
-// loadBigbatchBaseline parses the embedded pre-planner numbers; nil when
-// the embedded file is the empty bootstrap placeholder.
-func loadBigbatchBaseline() *report {
-	var base report
-	if err := json.Unmarshal(bigbatchBaselineJSON, &base); err != nil || base.Scenario == "" {
-		return nil
-	}
-	// Never nest, and drop the baseline run's own comparison ratios — they
-	// relate that run to an older embed and are meaningless republished.
-	base.Baseline = nil
-	base.QPSSpeedupX, base.P99SpeedupX = 0, 0
-	return &base
+	// the batches never reached it).
+	PlannerGroups        int64   `json:"planner_groups,omitempty"`
+	PlannerPairs         int64   `json:"planner_pairs,omitempty"`
+	PlannerSweepNoAlias  int64   `json:"planner_sweep_noalias,omitempty"`
+	PlannerIndexPairs    int64   `json:"planner_index_pairs,omitempty"`
+	PlannerIndexNoAlias  int64   `json:"planner_index_noalias,omitempty"`
+	PlannerFallbackPairs int64   `json:"planner_fallback_pairs,omitempty"`
+	PlannerFallbackRate  float64 `json:"planner_fallback_rate,omitempty"`
 }
 
 // request is one prepared /v1/query body. marshal() renders the JSON once,
@@ -264,16 +217,9 @@ func runSteady(cfg loadConfig) error {
 		modNames = append(modNames, m.name)
 	}
 
-	// Counter baseline, so a rerun against a long-lived daemon reports this
-	// burst's cache behavior rather than the daemon's lifetime aggregate.
-	c0, err := fetchCounters(client, base, modNames)
-	if err != nil {
-		return err
-	}
-
 	// Assign batches round-robin across modules; each module cycles its
 	// pair list with wraparound, so runs longer than the unique-pair count
-	// replay pairs and hit the server cache.
+	// replay pairs.
 	var requests []request
 	offsets := make([]int, len(mods))
 	for issued, mi := 0, 0; issued < cfg.queries; mi = (mi + 1) % len(mods) {
@@ -317,27 +263,14 @@ func runSteady(cfg loadConfig) error {
 		Retry:          rc.stats(),
 		Modules:        modNames,
 	}
-	c1, err := fetchCounters(client, base, modNames)
-	if err != nil {
-		return err
-	}
-	if dq := c1.queries - c0.queries; dq > 0 {
-		rep.CacheHitRate = float64(c1.hits-c0.hits) / float64(dq)
-	}
-	rep.Evictions = c1.evictions - c0.evictions
-	if rep.Evictions > 0 && cfg.queries > 0 {
-		rep.EvictionRate = float64(rep.Evictions) / float64(cfg.queries)
-	}
 	rep.ServerLatencyMS, rep.ServerP99Share = serverSide(h0, h1, rep.LatencyMS.P99)
 	return emit(rep, cfg.out)
 }
 
 // runBigBatch uploads the wide benchgen.WideBatch module — 1600 pointers in
-// one function, ~1.28M unique same-function pairs, more than the default
-// verdict memo holds, so the legacy chain pays a real walk (with symbolic
-// compares) per pair: exactly the paper-scale regime the planner targets —
-// and replays its pair enumeration as full-size batches, reporting planner
-// counters and the comparison against the embedded pre-planner baseline.
+// one function, ~1.28M unique same-function pairs, the paper-scale regime
+// the planner targets — and replays its pair enumeration as full-size
+// batches, reporting planner counters.
 func runBigBatch(cfg loadConfig) error {
 	base := "http://" + cfg.addr
 	client := &http.Client{Timeout: 120 * time.Second}
@@ -413,34 +346,20 @@ func runBigBatch(cfg loadConfig) error {
 	if err != nil {
 		return err
 	}
-	if dq := c1.queries - c0.queries; dq > 0 {
-		rep.CacheHitRate = float64(c1.hits-c0.hits) / float64(dq)
-	}
 	rep.PlannerGroups = c1.plannerGroups - c0.plannerGroups
 	rep.PlannerPairs = c1.plannerPairs - c0.plannerPairs
 	rep.PlannerSweepNoAlias = c1.plannerSweep - c0.plannerSweep
 	rep.PlannerIndexPairs = c1.plannerIndex - c0.plannerIndex
 	rep.PlannerIndexNoAlias = c1.plannerIndexNo - c0.plannerIndexNo
 	rep.PlannerFallbackPairs = c1.plannerFallback - c0.plannerFallback
-	rep.PlannerFallbackNoAlias = c1.plannerFallbackNo - c0.plannerFallbackNo
 	if rep.PlannerPairs > 0 {
 		rep.PlannerFallbackRate = float64(rep.PlannerFallbackPairs) / float64(rep.PlannerPairs)
 	}
 	rep.ServerLatencyMS, rep.ServerP99Share = serverSide(h0, h1, rep.LatencyMS.P99)
-	if bl := loadBigbatchBaseline(); bl != nil &&
-		bl.Scenario == rep.Scenario && bl.Batch == rep.Batch && bl.Concurrency == rep.Concurrency {
-		rep.Baseline = bl
-		if bl.QPS > 0 && rep.QPS > 0 {
-			rep.QPSSpeedupX = rep.QPS / bl.QPS
-		}
-		if bl.LatencyMS.P99 > 0 && rep.LatencyMS.P99 > 0 {
-			rep.P99SpeedupX = bl.LatencyMS.P99 / rep.LatencyMS.P99
-		}
-	}
 	return emit(rep, cfg.out)
 }
 
-// runChurn is the lifecycle workload: cold flood, hot-set hammer, and a
+// runChurn is the lifecycle workload: a cold flood, then a
 // register/query/delete mix over extra modules.
 func runChurn(cfg loadConfig) error {
 	base := "http://" + cfg.addr
@@ -457,18 +376,12 @@ func runChurn(cfg loadConfig) error {
 	for _, m := range mods {
 		modNames = append(modNames, m.name)
 	}
-	c0, err := fetchCounters(client, base, modNames)
-	if err != nil {
-		return err
-	}
 	start := time.Now()
 	var allLatencies []time.Duration
 	var noAlias int64
 	totalQueries := 0
 
 	// Phase 1 — cold flood: every module's full pair enumeration once.
-	// Against a server whose per-module cache limit is below the pair
-	// count, this forces evictions (the old policy would instead freeze).
 	var flood []request
 	for _, m := range mods {
 		for lo := 0; lo < len(m.pairs); lo += cfg.batch {
@@ -487,49 +400,7 @@ func runChurn(cfg loadConfig) error {
 	allLatencies = append(allLatencies, lat...)
 	noAlias += na
 
-	// Phase 2 — hot set: hammer a small working set for hot-rounds rounds.
-	// Its hit rate is measured from the server's counter deltas around the
-	// phase. The hot set is the TAIL of each pair enumeration — the pairs a
-	// freeze-at-limit cache (filled by the flood's head) would never admit
-	// — so a high rate here is attributable to LRU recency, not to the hot
-	// pairs happening to land below the limit.
-	hot0, err := fetchCounters(client, base, modNames)
-	if err != nil {
-		return err
-	}
-	hotPairs := 0
-	var hotReqs []request
-	for _, m := range mods {
-		n := len(m.pairs) / 8
-		if n < 1 {
-			n = 1
-		}
-		if n > cfg.batch {
-			n = cfg.batch
-		}
-		hotPairs += n
-		hotSet := m.pairs[len(m.pairs)-n:]
-		for r := 0; r < cfg.hotRounds; r++ {
-			hotReqs = append(hotReqs, request{mod: m.name, pairs: hotSet})
-			totalQueries += n
-		}
-	}
-	lat, na, err = fireBatches(rc, base, hotReqs, cfg.concurrency)
-	if err != nil {
-		return fmt.Errorf("hot phase: %w", err)
-	}
-	allLatencies = append(allLatencies, lat...)
-	noAlias += na
-	hot1, err := fetchCounters(client, base, modNames)
-	if err != nil {
-		return err
-	}
-	hotRate := 0.0
-	if dq := hot1.queries - hot0.queries; dq > 0 {
-		hotRate = float64(hot1.hits-hot0.hits) / float64(dq)
-	}
-
-	// Phase 3 — registry churn: async-upload fresh modules, poll them
+	// Phase 2 — registry churn: async-upload fresh modules, poll them
 	// ready, query them once, delete them. Exercises 202/status polling,
 	// refcounted deletion under load, and (when the registry is small)
 	// idle-LRU eviction server-side.
@@ -568,10 +439,6 @@ func runChurn(cfg loadConfig) error {
 	}
 	wall := time.Since(start)
 
-	c1, err := fetchCounters(client, base, modNames)
-	if err != nil {
-		return err
-	}
 	rep := report{
 		Timestamp:      start.UTC().Format(time.RFC3339),
 		Scenario:       "churn",
@@ -587,17 +454,8 @@ func runChurn(cfg loadConfig) error {
 		LatencyMS:      percentiles(allLatencies),
 		NoAlias:        noAlias,
 		Retry:          rc.stats(),
-		Evictions:      c1.evictions - c0.evictions,
-		HotSetHitRate:  hotRate,
-		HotSetPairs:    hotPairs,
 		AsyncBuilds:    asyncBuilds,
 		ChurnDeletes:   deletes,
-	}
-	if dq := c1.queries - c0.queries; dq > 0 {
-		rep.CacheHitRate = float64(c1.hits-c0.hits) / float64(dq)
-	}
-	if rep.Evictions > 0 && totalQueries > 0 {
-		rep.EvictionRate = float64(rep.Evictions) / float64(totalQueries)
 	}
 	return emit(rep, cfg.out)
 }
@@ -609,14 +467,13 @@ func emit(rep report, outPath string) error {
 	fmt.Printf("  throughput:  %.0f queries/s (%.0f requests/s)\n", rep.QPS, rep.RequestsPerSec)
 	fmt.Printf("  latency ms:  p50 %.2f  p90 %.2f  p99 %.2f  max %.2f\n",
 		rep.LatencyMS.P50, rep.LatencyMS.P90, rep.LatencyMS.P99, rep.LatencyMS.Max)
-	fmt.Printf("  cache hits:  %.1f%%   no-alias answers: %d\n", rep.CacheHitRate*100, rep.NoAlias)
+	fmt.Printf("  no-alias answers: %d\n", rep.NoAlias)
 	if rep.ServerLatencyMS != nil {
 		fmt.Printf("  server ms:   p50 %.2f  p90 %.2f  p99 %.2f  (%.0f%% of client p99; rest is HTTP+decode)\n",
 			rep.ServerLatencyMS.P50, rep.ServerLatencyMS.P90, rep.ServerLatencyMS.P99, rep.ServerP99Share*100)
 	}
 	if rep.Scenario == "churn" {
-		fmt.Printf("  churn:       %d evictions (%.4f/query), hot-set hit rate %.1f%% over %d pairs, %d async builds, %d deletes\n",
-			rep.Evictions, rep.EvictionRate, rep.HotSetHitRate*100, rep.HotSetPairs, rep.AsyncBuilds, rep.ChurnDeletes)
+		fmt.Printf("  churn:       %d async builds, %d deletes\n", rep.AsyncBuilds, rep.ChurnDeletes)
 	}
 	if rep.Retry.Sheds > 0 || rep.Retry.Retries > 0 {
 		fmt.Printf("  backpressure: %d sheds, %d retries, %d recovered, %d give-ups\n",
@@ -626,18 +483,13 @@ func emit(rep report, outPath string) error {
 		sk := rep.Soak
 		fmt.Printf("  soak:        %d/%d cycles (%d skipped, %d shed queries, %d reuploads, %d unexpected)\n",
 			sk.Completed, sk.Cycles, sk.SkippedCycles, sk.ShedQueries, sk.Reuploads, sk.UnexpectedStatuses)
-		fmt.Printf("  rss:         %d → %d bytes (%.3fx), budget state %s, %d evictions, %d cache shrinks\n",
-			sk.RSSStartBytes, sk.RSSEndBytes, sk.RSSRatio, sk.BudgetState, sk.ServerEvictions, sk.ServerCacheShrinks)
+		fmt.Printf("  rss:         %d → %d bytes (%.3fx), budget state %s, %d evictions\n",
+			sk.RSSStartBytes, sk.RSSEndBytes, sk.RSSRatio, sk.BudgetState, sk.ServerEvictions)
 	}
 	if rep.Scenario == "bigbatch" {
 		fmt.Printf("  planner:     %d pairs (%d sweep-noalias, %d index, %d fallback, rate %.4f), %d groups\n",
 			rep.PlannerPairs, rep.PlannerSweepNoAlias, rep.PlannerIndexPairs,
 			rep.PlannerFallbackPairs, rep.PlannerFallbackRate, rep.PlannerGroups)
-		if rep.Baseline != nil {
-			fmt.Printf("  vs baseline: %.2fx QPS (%.0f → %.0f), %.2fx p99 (%.2f → %.2f ms)\n",
-				rep.QPSSpeedupX, rep.Baseline.QPS, rep.QPS,
-				rep.P99SpeedupX, rep.Baseline.LatencyMS.P99, rep.LatencyMS.P99)
-		}
 	}
 	if outPath != "" {
 		b, err := json.MarshalIndent(rep, "", "  ")
@@ -904,15 +756,15 @@ func namedPairs(m *ir.Module) []service.Pair {
 	return out
 }
 
-// counters is one point-in-time sum of the named modules' /v1/stats rows.
+// counters is one point-in-time sum of the named modules' /v1/stats
+// planner rows.
 type counters struct {
-	queries, hits, evictions                                                 int64
 	plannerGroups, plannerPairs, plannerSweep, plannerIndex, plannerFallback int64
-	plannerIndexNo, plannerFallbackNo                                        int64
+	plannerIndexNo                                                           int64
 }
 
-// fetchCounters sums the query, cache-hit, eviction and planner counters of
-// the named modules from /v1/stats.
+// fetchCounters sums the planner counters of the named modules from
+// /v1/stats.
 func fetchCounters(client *http.Client, base string, names []string) (counters, error) {
 	var c counters
 	resp, err := client.Get(base + "/v1/stats")
@@ -929,19 +781,13 @@ func fetchCounters(client *http.Client, base string, names []string) (counters, 
 		mine[n] = true
 	}
 	for _, ms := range st.Modules {
-		if mine[ms.Name] {
-			c.queries += ms.Queries
-			c.hits += ms.CacheHits
-			c.evictions += ms.Evictions
-			if ms.Planner != nil {
-				c.plannerGroups += ms.Planner.Groups
-				c.plannerPairs += ms.Planner.Pairs
-				c.plannerSweep += ms.Planner.SweepNoAlias
-				c.plannerIndex += ms.Planner.IndexPairs
-				c.plannerIndexNo += ms.Planner.IndexNoAlias
-				c.plannerFallback += ms.Planner.FallbackPairs
-				c.plannerFallbackNo += ms.Planner.FallbackNoAlias
-			}
+		if mine[ms.Name] && ms.Planner != nil {
+			c.plannerGroups += ms.Planner.Groups
+			c.plannerPairs += ms.Planner.Pairs
+			c.plannerSweep += ms.Planner.SweepNoAlias
+			c.plannerIndex += ms.Planner.IndexPairs
+			c.plannerIndexNo += ms.Planner.IndexNoAlias
+			c.plannerFallback += ms.Planner.FallbackPairs
 		}
 	}
 	return c, nil

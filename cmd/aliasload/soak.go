@@ -37,10 +37,9 @@ type soakReport struct {
 	HeapEndBytes   int64   `json:"heap_end_bytes"`
 
 	// Server-side deltas over the measured window, from /v1/stats.
-	ServerSheds        map[string]int64 `json:"server_sheds"`
-	ServerEvictions    int64            `json:"server_budget_evictions"`
-	ServerCacheShrinks int64            `json:"server_cache_shrinks"`
-	BudgetState        string           `json:"budget_state"`
+	ServerSheds     map[string]int64 `json:"server_sheds"`
+	ServerEvictions int64            `json:"server_budget_evictions"`
+	BudgetState     string           `json:"budget_state"`
 }
 
 // scrapeGauge reads one sample of a /metrics family (first sample matching
@@ -155,7 +154,7 @@ func runSoak(cfg loadConfig) error {
 	for cycle := 0; cycle < cfg.cycles; cycle++ {
 		if cycle == warmup {
 			// The plateau snapshot: everything before this point (module
-			// builds, first chaos spikes, cache fill) is warmup.
+			// builds, first chaos spikes) is warmup.
 			sk.RSSStartBytes = int64(scrapeGauge(client, base, "aliasd_process_rss_bytes", nil))
 			sk.HeapStartBytes = int64(scrapeGauge(client, base, "aliasd_budget_bytes", map[string]string{"kind": "heap"}))
 			budget0, _ = fetchBudget(client, base)
@@ -259,7 +258,6 @@ func runSoak(cfg loadConfig) error {
 	if budget1, err := fetchBudget(client, base); err == nil {
 		sk.BudgetState = budget1.State
 		sk.ServerEvictions = budget1.Evictions - budget0.Evictions
-		sk.ServerCacheShrinks = budget1.CacheShrinks - budget0.CacheShrinks
 		sk.ServerSheds = map[string]int64{}
 		for reason, n := range budget1.Sheds {
 			sk.ServerSheds[reason] = n - budget0.Sheds[reason]

@@ -10,14 +10,12 @@ import (
 	"repro/internal/benchgen"
 )
 
-// TestManagerBatchedCountersMatchSequentialReplay models the aliasd
+// TestManagerBatchedCountersMatchSequentialReplay models a batched
 // workload: batches drawn with replacement from the query set (so batches
-// overlap and replay pairs, exercising the memo cache) are evaluated by
-// concurrent workers through a read-only Snapshot. Every counter the
-// /v1/stats endpoint reports — queries, cache hits, computed, no-alias,
-// per-member counts, first-wins attribution, and the Fig. 14 detail
-// histograms — must equal a sequential replay of the exact same multiset of
-// queries on a twin manager.
+// overlap and replay pairs) are evaluated by concurrent workers. Every
+// counter — queries, no-alias, per-member counts, first-wins attribution,
+// and the Fig. 14 detail histograms — must equal a sequential replay of the
+// exact same multiset of queries on a twin manager.
 func TestManagerBatchedCountersMatchSequentialReplay(t *testing.T) {
 	m := benchgen.Generate(benchgen.Fig13Configs()[9]) // fixoutput: small, rich verdict mix
 	qs := alias.Queries(m)
@@ -40,12 +38,8 @@ func TestManagerBatchedCountersMatchSequentialReplay(t *testing.T) {
 		}
 	}
 
-	// Concurrent run: workers pull whole batches via the snapshot handle.
+	// Concurrent run: workers pull whole batches.
 	concurrent := newTestManager(m, alias.ManagerOptions{})
-	snap := concurrent.Snapshot()
-	if !snap.Valid() {
-		t.Fatal("snapshot of a live manager reports invalid")
-	}
 	var (
 		wg   sync.WaitGroup
 		next = make(chan int)
@@ -56,7 +50,7 @@ func TestManagerBatchedCountersMatchSequentialReplay(t *testing.T) {
 			defer wg.Done()
 			for b := range next {
 				for _, q := range batches[b] {
-					snap.Evaluate(q.P, q.Q)
+					concurrent.Evaluate(q.P, q.Q)
 				}
 			}
 		}()
@@ -75,39 +69,14 @@ func TestManagerBatchedCountersMatchSequentialReplay(t *testing.T) {
 		}
 	}
 
-	got, want := snap.Stats(), sequential.Stats()
+	got, want := concurrent.Stats(), sequential.Stats()
 	if got.Queries != int64(nBatches*batchSize) {
 		t.Errorf("queries = %d, want %d", got.Queries, nBatches*batchSize)
 	}
-	if got.CacheHits+got.Computed != got.Queries {
-		t.Errorf("cache hits %d + computed %d != queries %d", got.CacheHits, got.Computed, got.Queries)
-	}
-	if got.CacheHits == 0 {
-		t.Error("no cache hits despite replayed batches; fixture does not exercise the cache")
+	if got.NoAlias == 0 {
+		t.Error("no no-alias answers; the fixture does not exercise the counters")
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("concurrent batched stats diverge from sequential replay\n got: %+v\nwant: %+v", got, want)
-	}
-	if rate := got.CacheHitRate(); rate <= 0 || rate >= 1 {
-		t.Errorf("cache hit rate = %v, want in (0, 1)", rate)
-	}
-
-	// The snapshot is a pure view: its verdicts must match the manager's.
-	for _, q := range qs[:10] {
-		if !sameVerdict(snap.Evaluate(q.P, q.Q), concurrent.Evaluate(q.P, q.Q)) {
-			t.Fatalf("snapshot verdict diverges from manager for %s,%s", q.P.Name, q.Q.Name)
-		}
-	}
-	if snap.Name() != concurrent.Name() || snap.NumMembers() != concurrent.NumMembers() {
-		t.Error("snapshot metadata diverges from manager")
-	}
-	for i := 0; i < snap.NumMembers(); i++ {
-		if snap.MemberName(i) != concurrent.MemberName(i) {
-			t.Errorf("snapshot member %d = %q, manager %q", i, snap.MemberName(i), concurrent.MemberName(i))
-		}
-	}
-	var zero alias.Snapshot
-	if zero.Valid() {
-		t.Error("zero snapshot reports valid")
 	}
 }

@@ -16,16 +16,15 @@ import (
 // lookups (plus a word-wise bitset AND for the points-to member) instead of
 // interface dispatch through the Manager chain — and the verdict is
 // *identical* to what Manager.Evaluate computes, member for member, detail
-// for detail, which is what lets the batch planner and the Manager fast path
-// substitute the index for the chain without changing any observable answer.
+// for detail, which is what lets the service answer from the index alone
+// and drop the chain once the index is built.
 //
 // Member analyses participate by implementing one of the Digester
 // interfaces below (they already import this package, so the column types
 // live here and the decision procedures are replicated over the compiled
 // digests). A chain whose members all digest is fully index-served; a pair
 // involving a value outside the universe (a pointer constant, a global
-// operand, a cross-function pair) is index-inconclusive and falls back to
-// the legacy Manager path.
+// operand, a cross-function pair) is index-inconclusive.
 
 // GRRange is one compiled component of a pointer's global MemLoc: the
 // allocation site and the symbolic offset interval. When both bounds share
@@ -367,37 +366,19 @@ func (fi *FuncIndex) sharedDetails(mi int, reason string) []string {
 // aliaslint:frozen
 type Index struct {
 	funcs    map[*ir.Func]*FuncIndex
-	members  int
 	memBytes int64
+	// label and names are the compiled chain's Name() and member names, so
+	// verdicts render without the Manager they were compiled from.
+	label string
+	names []string
 }
 
 // BuildIndex compiles the manager's chain over every function of m. It
-// returns nil when any member implements no Digester interface — the chain
-// then stays on the legacy evaluation path. The manager's members must
-// answer queries for m's values (the same requirement Manager.Evaluate has).
+// returns nil when any member implements no Digester interface. The
+// manager's members must answer queries for m's values (the same
+// requirement Manager.Evaluate has); the index keeps none of them.
 func BuildIndex(mg *Manager, m *ir.Module) *Index {
-	for _, mem := range mg.members {
-		switch mem.(type) {
-		case RangeDigester, ClassDigester, SCEVDigester, SetDigester:
-		default:
-			return nil
-		}
-	}
-	ix := &Index{funcs: make(map[*ir.Func]*FuncIndex, len(m.Funcs)), members: len(mg.members)}
-	for _, f := range m.Funcs {
-		var universe []*ir.Value
-		for _, v := range f.Values() {
-			if v.Typ == ir.TPtr {
-				universe = append(universe, v)
-			}
-		}
-		if len(universe) == 0 {
-			continue
-		}
-		fi := buildFuncIndex(mg, f, universe)
-		ix.funcs[f] = fi
-		ix.memBytes += fi.approxBytes()
-	}
+	ix, _ := BuildIndexCached(mg, m, nil)
 	return ix
 }
 
@@ -443,6 +424,15 @@ func detailAt(n, i int, s string) []string {
 	return d
 }
 
+// Name returns the compiled chain's label.
+func (ix *Index) Name() string { return ix.label }
+
+// NumMembers returns the length of the compiled chain.
+func (ix *Index) NumMembers() int { return len(ix.names) }
+
+// MemberName returns the Name() of chain member i.
+func (ix *Index) MemberName(i int) string { return ix.names[i] }
+
 // Func returns the compiled index of f, nil when f has no pointer values.
 func (ix *Index) Func(f *ir.Func) *FuncIndex { return ix.funcs[f] }
 
@@ -455,7 +445,7 @@ func (ix *Index) MemBytes() int64 { return ix.memBytes }
 
 // Evaluate answers one pair from the index alone: ok=false when the pair is
 // index-inconclusive (values of different or unindexed functions, or values
-// outside the universe), in which case the caller must use the Manager.
+// outside the universe).
 func (ix *Index) Evaluate(p, q *ir.Value) (Verdict, bool) {
 	if p.Func == nil || p.Func != q.Func {
 		return Verdict{}, false
@@ -471,10 +461,15 @@ func (ix *Index) Evaluate(p, q *ir.Value) (Verdict, bool) {
 	return fi.evaluate(i, j), true
 }
 
+// funcIndexFixed is what one FuncIndex holds besides its arrays: the
+// struct, its column headers, the shared detail slices and its map entry,
+// with allocation slack — 1.1–1.3 KB measured on Fig. 15 modules.
+const funcIndexFixed = 1200
+
 // approxBytes sums the column footprints of one function index.
 func (fi *FuncIndex) approxBytes() int64 {
 	const ptrSize = 8
-	n := int64(len(fi.universe))*ptrSize + int64(len(fi.vnum))*4
+	n := funcIndexFixed + int64(len(fi.universe))*ptrSize + int64(len(fi.vnum))*4
 	for i := range fi.cols {
 		c := &fi.cols[i]
 		switch {

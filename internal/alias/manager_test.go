@@ -66,9 +66,9 @@ func TestManagerMatchesMembers(t *testing.T) {
 	}
 }
 
-// TestManagerCanonicalizationAndCache: (p,q) and (q,p) share one cache
-// entry, and repeats are served from the cache.
-func TestManagerCanonicalizationAndCache(t *testing.T) {
+// TestManagerCanonicalization: (p,q) and (q,p) get one verdict, and the
+// attribution counters decompose the chain's no-alias total.
+func TestManagerCanonicalization(t *testing.T) {
 	m := progs.MessageBuffer()
 	mgr := newTestManager(m, alias.ManagerOptions{})
 	qs := alias.Queries(m)
@@ -82,13 +82,6 @@ func TestManagerCanonicalizationAndCache(t *testing.T) {
 	st := mgr.Stats()
 	if st.Queries != int64(2*len(qs)) {
 		t.Errorf("queries = %d, want %d", st.Queries, 2*len(qs))
-	}
-	if st.Computed != int64(len(qs)) {
-		t.Errorf("computed = %d, want %d (reverse queries must hit the cache)",
-			st.Computed, len(qs))
-	}
-	if st.CacheHits != int64(len(qs)) {
-		t.Errorf("cache hits = %d, want %d", st.CacheHits, len(qs))
 	}
 	// The attribution histogram must decompose rbaa's no-alias count.
 	rb := st.Members[2]
@@ -109,26 +102,6 @@ func TestManagerCanonicalizationAndCache(t *testing.T) {
 	}
 }
 
-// TestManagerCacheLimit: a negative limit disables memoization entirely and
-// every repeat is recomputed; counters then tally per computation.
-func TestManagerCacheLimit(t *testing.T) {
-	m := progs.TwoBuffers()
-	mgr := newTestManager(m, alias.ManagerOptions{CacheLimit: -1})
-	qs := alias.Queries(m)
-	for i := 0; i < 3; i++ {
-		for _, q := range qs {
-			mgr.Evaluate(q.P, q.Q)
-		}
-	}
-	st := mgr.Stats()
-	if st.CacheHits != 0 {
-		t.Errorf("cache hits = %d with caching disabled", st.CacheHits)
-	}
-	if st.Computed != int64(3*len(qs)) {
-		t.Errorf("computed = %d, want %d", st.Computed, 3*len(qs))
-	}
-}
-
 // TestManagerComposes: a Manager is itself an Analysis and can be chained
 // inside another Manager.
 func TestManagerComposes(t *testing.T) {
@@ -146,11 +119,9 @@ func TestManagerComposes(t *testing.T) {
 }
 
 // TestManagerOnePairHammerNoCache is the regression test for the
-// double-counting bug: with caching disabled there is no LoadOrStore winner
-// to elect, so the documented semantics are one count per computation —
-// exactly workers×rounds, never more (the old code could also inflate past
-// a full cache, where racing goroutines each counted). Run under -race this
-// also guards the counter stripes themselves.
+// double-counting bug: the documented semantics are one count per
+// computation — exactly workers×rounds, never more or less. Run under
+// -race this also guards the counter stripes themselves.
 func TestManagerOnePairHammerNoCache(t *testing.T) {
 	m := progs.MessageBuffer()
 	qs := alias.Queries(m)
@@ -160,7 +131,7 @@ func TestManagerOnePairHammerNoCache(t *testing.T) {
 	q := qs[0]
 	want := newTestManager(m, alias.ManagerOptions{}).Evaluate(q.P, q.Q)
 
-	mgr := newTestManager(m, alias.ManagerOptions{CacheLimit: -1})
+	mgr := newTestManager(m, alias.ManagerOptions{})
 	const workers = 8
 	const rounds = 200
 	var wg sync.WaitGroup
@@ -179,12 +150,6 @@ func TestManagerOnePairHammerNoCache(t *testing.T) {
 	const total = workers * rounds
 	if st.Queries != total {
 		t.Errorf("queries = %d, want %d", st.Queries, total)
-	}
-	if st.CacheHits != 0 {
-		t.Errorf("cache hits = %d with caching disabled", st.CacheHits)
-	}
-	if st.Computed != total {
-		t.Errorf("computed = %d, want exactly %d (one per computation)", st.Computed, total)
 	}
 	wantNoAlias := int64(0)
 	if want.Result == alias.NoAlias {
@@ -205,68 +170,8 @@ func TestManagerOnePairHammerNoCache(t *testing.T) {
 	}
 }
 
-// TestManagerWinnerOnlyCountPastLimit pins the other half of the fix: with
-// a small LRU the cache no longer freezes at its limit, so a pair hammered
-// concurrently after a cold flood is computed and counted exactly once —
-// under the old frozen cache every racing recomputation was counted.
-func TestManagerWinnerOnlyCountPastLimit(t *testing.T) {
-	m := progs.MessageBuffer()
-	qs := alias.Queries(m)
-	const limit = 4
-	if len(qs) < limit+4 {
-		t.Fatalf("need more than %d distinct pairs, have %d", limit+4, len(qs))
-	}
-	mgr := newTestManager(m, alias.ManagerOptions{CacheLimit: limit, CacheShards: 1})
-
-	// Cold flood: more distinct pairs than the cache holds. Under the old
-	// policy this froze the cache on the first `limit` pairs.
-	for _, q := range qs[1:] {
-		mgr.Evaluate(q.P, q.Q)
-	}
-	before := mgr.Stats()
-	if before.Cached > limit {
-		t.Fatalf("cached = %d beyond the %d-entry limit", before.Cached, limit)
-	}
-	if before.Evictions == 0 {
-		t.Fatal("flood past the limit recorded no evictions")
-	}
-
-	// Hot phase: many goroutines race on one fresh pair. Exactly one
-	// computation may be counted; everyone else must resolve as a hit.
-	hot := qs[0]
-	const workers = 8
-	const rounds = 100
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				mgr.Evaluate(hot.P, hot.Q)
-			}
-		}()
-	}
-	wg.Wait()
-
-	after := mgr.Stats()
-	if d := after.Computed - before.Computed; d != 1 {
-		t.Errorf("hot pair counted %d times, want exactly 1 (winner only)", d)
-	}
-	if d := after.Queries - before.Queries; d != workers*rounds {
-		t.Errorf("queries grew by %d, want %d", d, workers*rounds)
-	}
-	if after.CacheHits+after.Computed != after.Queries {
-		t.Errorf("cache_hits %d + computed %d != queries %d",
-			after.CacheHits, after.Computed, after.Queries)
-	}
-	if after.Cached > limit {
-		t.Errorf("cached = %d beyond the %d-entry limit", after.Cached, limit)
-	}
-}
-
-// TestNewManagerAllocatesLittle pins the memo's empty footprint: a manager
-// with default options sizes nothing for entries it has not cached yet, so
-// a module whose pairs the index answers keeps no empty memo buckets.
+// TestNewManagerAllocatesLittle pins a manager's empty footprint: its
+// counter stripes, nothing sized by the pairs it will answer.
 func TestNewManagerAllocatesLittle(t *testing.T) {
 	m := progs.MessageBuffer()
 	members := []alias.Analysis{scevaa.New(m), basicaa.New(m), rbaa.New(m, pointer.Options{})}
@@ -285,7 +190,7 @@ func TestNewManagerAllocatesLittle(t *testing.T) {
 // goroutines fire the full query set (in both orientations and shifted
 // orders) at one Manager while others snapshot Stats. Run under -race this
 // guards the read-only query paths of scevaa, basicaa and rbaa as well as
-// the Manager's own cache and counters.
+// the Manager's own counters.
 func TestManagerConcurrentHammer(t *testing.T) {
 	cfg := benchgen.Fig13Configs()[0] // cfrac: mid-size, every idiom
 	m := benchgen.Generate(cfg)
@@ -345,12 +250,6 @@ func TestManagerConcurrentHammer(t *testing.T) {
 	snap.Wait()
 
 	st := mgr.Stats()
-	// Every unique pair is computed at least once; with the cache far below
-	// its limit, duplicated computation can only come from races lost at
-	// LoadOrStore, which still count each pair exactly once.
-	if st.Computed != int64(len(qs)) {
-		t.Errorf("computed = %d, want %d unique pairs", st.Computed, len(qs))
-	}
 	if st.Queries != int64(workers*len(qs)) {
 		t.Errorf("queries = %d, want %d", st.Queries, workers*len(qs))
 	}

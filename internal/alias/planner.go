@@ -18,9 +18,10 @@ import (
 // values. Two values separated by the partition (different sites, or
 // same-site same-shape ranges in different clusters) are provably disjoint
 // and answered no-alias with no per-pair work at all; only unseparated
-// (and residue) pairs fall through to the compiled index check, and only
-// index-inconclusive pairs fall back to the legacy Manager path, which
-// stays available as the differential oracle.
+// (and residue) pairs fall through to the compiled index check. A pair
+// outside every index universe gets the sound conservative verdict
+// (may-alias, no provers) and is tallied as a fallback; the service's
+// validate stage admits only universe values, so it never sends one.
 //
 // Answer contract: the planner's Result (no-alias / may-alias) is always
 // identical to Manager.Evaluate's — sweep separations are justified by the
@@ -29,26 +30,16 @@ import (
 // are credited to the range member alone (Resolved/Provers = rbaa, Detail =
 // the Fig. 14 reason the partition proves), because no other member was
 // consulted. Clients that need full per-member attribution should evaluate
-// through EvaluateFull or the Manager.
+// through Index.Evaluate.
 
 // PlanTally accumulates planner outcomes without touching shared counters;
 // workers keep one per chunk and fold it into the Planner once.
 type PlanTally struct {
-	Pairs           int64
-	SweepNoAlias    int64 // pairs answered by group separation alone
-	IndexPairs      int64 // pairs answered by the compiled index
-	IndexNoAlias    int64
-	FallbackPairs   int64 // index-inconclusive pairs sent to the Manager
-	FallbackNoAlias int64
-}
-
-func (t *PlanTally) add(o PlanTally) {
-	t.Pairs += o.Pairs
-	t.SweepNoAlias += o.SweepNoAlias
-	t.IndexPairs += o.IndexPairs
-	t.IndexNoAlias += o.IndexNoAlias
-	t.FallbackPairs += o.FallbackPairs
-	t.FallbackNoAlias += o.FallbackNoAlias
+	Pairs         int64
+	SweepNoAlias  int64 // pairs answered by group separation alone
+	IndexPairs    int64 // pairs answered by the compiled index
+	IndexNoAlias  int64
+	FallbackPairs int64 // pairs outside the index, answered may-alias
 }
 
 // PlannerStats is a point-in-time snapshot of a planner's counters.
@@ -61,7 +52,7 @@ type PlannerStats struct {
 	PlanTally
 }
 
-// FallbackRate returns the fraction of pairs that fell back to the Manager.
+// FallbackRate returns the fraction of pairs the index could not answer.
 func (s PlannerStats) FallbackRate() float64 {
 	if s.Pairs == 0 {
 		return 0
@@ -69,11 +60,9 @@ func (s PlannerStats) FallbackRate() float64 {
 	return float64(s.FallbackPairs) / float64(s.Pairs)
 }
 
-// Planner answers batches over a compiled Index, falling back to the
-// snapshot's Manager for index-inconclusive pairs. Safe for concurrent use.
+// Planner answers batches over a compiled Index. Safe for concurrent use.
 type Planner struct {
-	snap Snapshot
-	ix   *Index
+	ix *Index
 
 	batches       atomic.Int64
 	plannedValues atomic.Int64
@@ -83,21 +72,15 @@ type Planner struct {
 	indexPairs    atomic.Int64
 	indexNoAlias  atomic.Int64
 	fbPairs       atomic.Int64
-	fbNoAlias     atomic.Int64
 }
 
-// NewPlanner builds a planner over a chain snapshot and its compiled index.
-// ix may be nil: every pair then takes the fallback path (the planner still
-// counts, so callers need no second code path).
-func NewPlanner(snap Snapshot, ix *Index) *Planner {
-	return &Planner{snap: snap, ix: ix}
+// NewPlanner builds a planner over a compiled index.
+func NewPlanner(ix *Index) *Planner {
+	return &Planner{ix: ix}
 }
 
-// Index returns the compiled index (nil when the chain did not compile).
+// Index returns the compiled index.
 func (pl *Planner) Index() *Index { return pl.ix }
-
-// Snapshot returns the fallback chain handle.
-func (pl *Planner) Snapshot() Snapshot { return pl.snap }
 
 // Fold adds a worker's local tally into the shared counters.
 func (pl *Planner) Fold(t PlanTally) {
@@ -116,9 +99,6 @@ func (pl *Planner) Fold(t PlanTally) {
 	if t.FallbackPairs != 0 {
 		pl.fbPairs.Add(t.FallbackPairs)
 	}
-	if t.FallbackNoAlias != 0 {
-		pl.fbNoAlias.Add(t.FallbackNoAlias)
-	}
 }
 
 // Stats snapshots the counters.
@@ -128,38 +108,13 @@ func (pl *Planner) Stats() PlannerStats {
 		PlannedValues: pl.plannedValues.Load(),
 		Groups:        pl.groups.Load(),
 		PlanTally: PlanTally{
-			Pairs:           pl.pairs.Load(),
-			SweepNoAlias:    pl.sweepNoAlias.Load(),
-			IndexPairs:      pl.indexPairs.Load(),
-			IndexNoAlias:    pl.indexNoAlias.Load(),
-			FallbackPairs:   pl.fbPairs.Load(),
-			FallbackNoAlias: pl.fbNoAlias.Load(),
+			Pairs:         pl.pairs.Load(),
+			SweepNoAlias:  pl.sweepNoAlias.Load(),
+			IndexPairs:    pl.indexPairs.Load(),
+			IndexNoAlias:  pl.indexNoAlias.Load(),
+			FallbackPairs: pl.fbPairs.Load(),
 		},
 	}
-}
-
-// EvaluateFull answers one pair with the full chain verdict — the compiled
-// index when conclusive, the Manager otherwise — tallying into t. Unlike
-// Plan/Evaluate it never sweep-short-circuits, so per-member attribution is
-// complete; the experiments driver uses this mode to keep the Fig. 13/14
-// accounting exact.
-func (pl *Planner) EvaluateFull(p, q *ir.Value, t *PlanTally) Verdict {
-	t.Pairs++
-	if pl.ix != nil {
-		if v, ok := pl.ix.Evaluate(p, q); ok {
-			t.IndexPairs++
-			if v.Result == NoAlias {
-				t.IndexNoAlias++
-			}
-			return v
-		}
-	}
-	t.FallbackPairs++
-	v := pl.snap.Evaluate(p, q)
-	if v.Result == NoAlias {
-		t.FallbackNoAlias++
-	}
-	return v
 }
 
 // sweepKind classifies a value for the sweep line.
@@ -198,7 +153,6 @@ type planned struct {
 //
 // aliaslint:frozen
 type Plan struct {
-	pl *Planner
 	fi *FuncIndex
 	// pos is indexed by universe number; kind sweepUnplanned marks values
 	// outside this batch slice. A flat array (no pointers) keeps plan
@@ -208,15 +162,15 @@ type Plan struct {
 
 // Plan partitions the distinct values of one function's batch slice by
 // sweep position. All values must belong to one function; duplicates are
-// fine. A nil index, an unindexed function, or a chain with no range member
-// yields a plan whose pairs all fall back (still counted).
+// fine. An unindexed function or a chain with no range member yields a
+// plan whose pairs all fall back (still counted).
 //
 // aliaslint:mutator — the Plan's builder: it fills pos/fi before the Plan
 // is returned (and frozen).
 func (pl *Planner) Plan(vals []*ir.Value) *Plan {
 	pl.batches.Add(1)
-	p := &Plan{pl: pl}
-	if pl.ix == nil || len(vals) == 0 {
+	p := &Plan{}
+	if len(vals) == 0 {
 		return p
 	}
 	fi := pl.ix.Func(vals[0].Func)
@@ -227,7 +181,9 @@ func (pl *Planner) Plan(vals []*ir.Value) *Plan {
 	rng := fi.cols[fi.rangeMember].rng
 
 	p.pos = make([]sweepPos, len(fi.universe))
-	singles := make([]planned, 0, len(vals))
+	// At most the universe's distinct values land in singles, however many
+	// pairs the shard repeats them in.
+	singles := make([]planned, 0, min(len(vals), len(fi.universe)))
 	shapeRank := map[*symbolic.Expr]int32{}
 
 	seen := 0
@@ -307,8 +263,8 @@ func (pl *Planner) Plan(vals []*ir.Value) *Plan {
 
 // Evaluate answers one planned pair, tallying into t. Partition-separated
 // pairs are answered by the sweep; same-cluster, cross-shape and residue
-// pairs go to the index; unplanned or index-inconclusive pairs fall back to
-// the Manager.
+// pairs go to the index; a pair outside the plan falls back to the
+// conservative may-alias verdict with no provers.
 func (p *Plan) Evaluate(a, b *ir.Value, t *PlanTally) Verdict {
 	t.Pairs++
 	if p.fi != nil {
@@ -347,9 +303,5 @@ func (p *Plan) Evaluate(a, b *ir.Value, t *PlanTally) Verdict {
 		}
 	}
 	t.FallbackPairs++
-	v := p.pl.snap.Evaluate(a, b)
-	if v.Result == NoAlias {
-		t.FallbackNoAlias++
-	}
-	return v
+	return Verdict{Resolved: -1}
 }

@@ -18,8 +18,8 @@ import (
 
 // newServiceChain mirrors service.NewChain: the full four-member chain the
 // daemon compiles an index for.
-func newServiceChain(m *ir.Module, opts alias.ManagerOptions) *alias.Manager {
-	return alias.NewManager(opts,
+func newServiceChain(m *ir.Module) *alias.Manager {
+	return alias.NewManager(alias.ManagerOptions{},
 		scevaa.New(m), basicaa.New(m), rbaa.New(m, pointer.Options{}), andersen.Analyze(m))
 }
 
@@ -72,8 +72,8 @@ func diffConfigs() []benchgen.Config {
 func TestIndexVerdictsIdenticalToManager(t *testing.T) {
 	for _, cfg := range diffConfigs() {
 		m := benchgen.Generate(cfg)
-		oracle := newServiceChain(m, alias.ManagerOptions{CacheLimit: -1})
-		indexed := newServiceChain(m, alias.ManagerOptions{CacheLimit: -1})
+		oracle := newServiceChain(m)
+		indexed := newServiceChain(m)
 		ix := alias.BuildIndex(indexed, m)
 		if ix == nil {
 			t.Fatalf("%s: BuildIndex returned nil for a fully digestible chain", cfg.Name)
@@ -119,7 +119,7 @@ func TestIndexEvaluateAllocatesNothing(t *testing.T) {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	m := benchgen.Generate(benchgen.Fig13Configs()[0])
-	ix := alias.BuildIndex(newServiceChain(m, alias.ManagerOptions{CacheLimit: -1}), m)
+	ix := alias.BuildIndex(newServiceChain(m), m)
 	if ix == nil {
 		t.Fatal("BuildIndex returned nil for a fully digestible chain")
 	}
@@ -152,10 +152,10 @@ func TestIndexEvaluateAllocatesNothing(t *testing.T) {
 func TestPlannerBatchesMatchManagerUnderRace(t *testing.T) {
 	for _, cfg := range diffConfigs()[:4] {
 		m := benchgen.Generate(cfg)
-		oracle := newServiceChain(m, alias.ManagerOptions{})
-		indexed := newServiceChain(m, alias.ManagerOptions{})
+		oracle := newServiceChain(m)
+		indexed := newServiceChain(m)
 		ix := alias.BuildIndex(indexed, m)
-		pl := alias.NewPlanner(indexed.Snapshot(), ix)
+		pl := alias.NewPlanner(ix)
 
 		// Group the query enumeration by function, as the service pipeline
 		// shards batches.
@@ -233,6 +233,9 @@ func TestPlannerBatchesMatchManagerUnderRace(t *testing.T) {
 			t.Errorf("%s: tally does not reconcile: sweep %d + index %d + fallback %d != pairs %d",
 				cfg.Name, st.SweepNoAlias, st.IndexPairs, st.FallbackPairs, st.Pairs)
 		}
+		if st.FallbackPairs != 0 {
+			t.Errorf("%s: %d same-function pairs fell outside the index", cfg.Name, st.FallbackPairs)
+		}
 		if st.Batches != int64(len(batches)) {
 			t.Errorf("%s: batches = %d, want %d", cfg.Name, st.Batches, len(batches))
 		}
@@ -261,9 +264,9 @@ func TestPlannerBottomVsTopMatchesManager(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	oracle := newServiceChain(m, alias.ManagerOptions{CacheLimit: -1})
-	indexed := newServiceChain(m, alias.ManagerOptions{CacheLimit: -1})
-	pl := alias.NewPlanner(indexed.Snapshot(), alias.BuildIndex(indexed, m))
+	oracle := newServiceChain(m)
+	indexed := newServiceChain(m)
+	pl := alias.NewPlanner(alias.BuildIndex(indexed, m))
 	plan := pl.Plan([]*ir.Value{fr, ld, obj})
 	var tally alias.PlanTally
 	for _, pair := range [][2]*ir.Value{{fr, ld}, {ld, fr}, {fr, obj}, {obj, ld}} {
@@ -276,29 +279,35 @@ func TestPlannerBottomVsTopMatchesManager(t *testing.T) {
 	}
 }
 
-// TestManagerIndexFastPath attaches the compiled index to a manager and
-// checks verdicts and counters stay identical to the chain-walking twin.
-func TestManagerIndexFastPath(t *testing.T) {
-	cfg := benchgen.Fig13Configs()[9] // fixoutput: small, rich verdict mix
-	m := benchgen.Generate(cfg)
-	plain := newServiceChain(m, alias.ManagerOptions{})
-	fast := newServiceChain(m, alias.ManagerOptions{})
-	fast.AttachIndex(alias.BuildIndex(fast, m))
-	qs := alias.Queries(m)
+// TestPlanScratchBoundedByUniverse pins Plan's allocation to the shard's
+// distinct values, not its pairs: a 4096-pair shard of the 1600-pointer
+// bigbatch function repeats each value many times, and the sweep scratch
+// must be sized by the universe it can hold.
+func TestPlanScratchBoundedByUniverse(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const ptrs, pairs = 1600, 4096
+	m := benchgen.WideBatch("widebatch", ptrs)
+	pl := alias.NewPlanner(alias.BuildIndex(newServiceChain(m), m))
+	qs := alias.Queries(m)[:pairs]
+	vals := make([]*ir.Value, 0, 2*pairs)
 	for _, q := range qs {
-		a, b := plain.Evaluate(q.P, q.Q), fast.Evaluate(q.P, q.Q)
-		if !fullVerdictEqual(a, b, plain.NumMembers()) {
-			t.Fatalf("fast-path verdict for (%s,%s) diverges", q.P.Name, q.Q.Name)
-		}
+		vals = append(vals, q.P, q.Q)
 	}
-	ps, fs := plain.Stats(), fast.Stats()
-	if ps.Computed != fs.Computed || ps.NoAlias != fs.NoAlias {
-		t.Errorf("fast-path counters diverge: computed %d/%d noalias %d/%d",
-			ps.Computed, fs.Computed, ps.NoAlias, fs.NoAlias)
+	if n := pl.Index().Func(vals[0].Func).Len(); n != ptrs {
+		t.Fatalf("universe holds %d values, want %d", n, ptrs)
 	}
-	for i := range ps.Members {
-		if ps.Members[i].NoAlias != fs.Members[i].NoAlias || ps.Members[i].FirstWins != fs.Members[i].FirstWins {
-			t.Errorf("member %s counters diverge", ps.Members[i].Name)
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pl.Plan(vals)
 		}
+	})
+	// 16 B of position and 40 B of sweep scratch per universe value, plus
+	// the shape map; sizing the scratch by len(vals) costs ~330 KB more.
+	const limit = 64*ptrs + 16<<10
+	if got := res.AllocedBytesPerOp(); got > limit {
+		t.Errorf("Plan over %d pairs allocated %d bytes, want at most %d", pairs, got, limit)
 	}
 }

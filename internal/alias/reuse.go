@@ -255,7 +255,11 @@ func BuildIndexCached(mg *Manager, m *ir.Module, cache *IndexCache) (*Index, int
 		called = calledFuncs(m)
 	}
 	reused := 0
-	ix := &Index{funcs: make(map[*ir.Func]*FuncIndex, len(m.Funcs)), members: len(mg.members)}
+	ix := &Index{funcs: make(map[*ir.Func]*FuncIndex, len(m.Funcs)), label: mg.label,
+		names: make([]string, len(mg.members))}
+	for i, mem := range mg.members {
+		ix.names[i] = mem.Name()
+	}
 	for _, f := range m.Funcs {
 		var universe []*ir.Value
 		for _, v := range f.Values() {

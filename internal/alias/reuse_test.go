@@ -19,12 +19,12 @@ func TestReusedIndexVerdictsIdentical(t *testing.T) {
 		consumer := benchgen.Generate(cfg) // distinct *ir.Module, identical text
 
 		cache := alias.NewIndexCache(0)
-		donorChain := newServiceChain(donor, alias.ManagerOptions{CacheLimit: -1})
+		donorChain := newServiceChain(donor)
 		if _, reused := alias.BuildIndexCached(donorChain, donor, cache); reused != 0 {
 			t.Fatalf("%s: cold build reported %d reused functions", cfg.Name, reused)
 		}
 
-		warmChain := newServiceChain(consumer, alias.ManagerOptions{CacheLimit: -1})
+		warmChain := newServiceChain(consumer)
 		warmIx, reused := alias.BuildIndexCached(warmChain, consumer, cache)
 		if warmIx == nil {
 			t.Fatalf("%s: BuildIndexCached returned nil", cfg.Name)
@@ -33,7 +33,7 @@ func TestReusedIndexVerdictsIdentical(t *testing.T) {
 			t.Fatalf("%s: identical re-upload reused no function analyses", cfg.Name)
 		}
 
-		coldChain := newServiceChain(consumer, alias.ManagerOptions{CacheLimit: -1})
+		coldChain := newServiceChain(consumer)
 		coldIx := alias.BuildIndex(coldChain, consumer)
 
 		checked := 0
@@ -94,7 +94,7 @@ entry:
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m, newServiceChain(m, alias.ManagerOptions{CacheLimit: -1})
+		return m, newServiceChain(m)
 	}
 
 	cache := alias.NewIndexCache(0)
@@ -117,7 +117,7 @@ func TestIndexCacheBound(t *testing.T) {
 	cache := alias.NewIndexCache(16 << 10)
 	for i, cfg := range diffConfigs() {
 		m := benchgen.Generate(cfg)
-		chain := newServiceChain(m, alias.ManagerOptions{CacheLimit: -1})
+		chain := newServiceChain(m)
 		if ix, _ := alias.BuildIndexCached(chain, m, cache); ix == nil {
 			t.Fatalf("config %d: nil index", i)
 		}

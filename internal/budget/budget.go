@@ -6,7 +6,7 @@
 // to a watermark state — OK, Soft, or Hard — with hysteresis so the state
 // does not flap around a boundary. It never takes degradation actions
 // itself; the service's governor loop reads the state and applies the
-// levers (cache shrink, module eviction, upload rejection, query shedding).
+// levers (module eviction, upload rejection, query shedding).
 // Keeping the tracker free of callbacks is what keeps it deadlock-free:
 // registry teardown can run while registry locks are held, so nothing in
 // this package may call back into the service.
@@ -32,8 +32,8 @@ type State int32
 const (
 	// StateOK: usage below the soft watermark; no degradation.
 	StateOK State = iota
-	// StateSoft: usage crossed the soft watermark; the governor shrinks
-	// memo caches and evicts unpinned LRU modules.
+	// StateSoft: usage crossed the soft watermark; the governor evicts
+	// unpinned LRU modules.
 	StateSoft
 	// StateHard: usage crossed the hard watermark; uploads are rejected
 	// and query admission tightens.

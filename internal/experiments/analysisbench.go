@@ -49,9 +49,9 @@ type AnalysisQueryBench struct {
 }
 
 // PlannerBench is the batch-planner section of the analysis report: one
-// full pair sweep of the largest corpus module answered by the sweep-line
-// planner versus the legacy chain, with the partition counters of a single
-// sweep (groups formed, pairs short-circuited, fallback rate).
+// full pair sweep of a wide function answered by the sweep-line planner
+// versus the Manager chain, with the partition counters of a single sweep
+// (groups formed, pairs short-circuited, fallback rate).
 type PlannerBench struct {
 	Module        string  `json:"module"`
 	PairsPerSweep int     `json:"pairs_per_sweep"`
@@ -60,9 +60,8 @@ type PlannerBench struct {
 	IndexPairs    int64   `json:"index_pairs"`
 	FallbackPairs int64   `json:"fallback_pairs"`
 	FallbackRate  float64 `json:"fallback_rate"`
-	// Per-pair costs of a whole-module sweep: the legacy chain with its
-	// default memo cache (so iterations past the first measure the cache-hit
-	// path — the planner's real competitor) versus plan + evaluate.
+	// Per-pair costs of a whole-module sweep: the Manager chain walking
+	// every member per pair versus plan + evaluate.
 	ManagerNsPerPair float64 `json:"manager_ns_per_pair"`
 	PlannerNsPerPair float64 `json:"planner_ns_per_pair"`
 	SpeedupX         float64 `json:"speedup_x"`
@@ -113,7 +112,7 @@ func (d *Driver) RunAnalysisBench() AnalysisReport {
 		st := m.Stats()
 		start := time.Now()
 		mgr := alias.NewManager(
-			alias.ManagerOptions{Label: "scev+basic+rbaa+andersen", CacheLimit: -1},
+			alias.ManagerOptions{Label: "scev+basic+rbaa+andersen"},
 			scevaa.New(m), basicaa.New(m), rbaa.New(m, pointer.Options{}), andersen.Analyze(m))
 		elapsed := time.Since(start)
 		_ = mgr
@@ -130,7 +129,7 @@ func (d *Driver) RunAnalysisBench() AnalysisReport {
 	// members, so allocs/op is the member-evaluation allocation budget.
 	m := benchgen.Generate(benchgen.Fig13Configs()[1])
 	mgr := alias.NewManager(
-		alias.ManagerOptions{Label: "scev+basic+rbaa", CacheLimit: -1},
+		alias.ManagerOptions{Label: "scev+basic+rbaa"},
 		scevaa.New(m), basicaa.New(m), rbaa.New(m, pointer.Options{}))
 	qs := alias.Queries(m)
 	res := testing.Benchmark(func(b *testing.B) {
@@ -175,11 +174,9 @@ func (d *Driver) RunAnalysisBench() AnalysisReport {
 
 // benchPlanner measures the batch planner on the service chain over the
 // wide-function module benchgen.WideBatch (the aliasload bigbatch workload
-// in miniature: ~512 pointers, ~130k same-function pairs — small enough
-// that the legacy Manager's memo holds every pair, so the comparison is
-// against a *warm* cache, the legacy path's best case): a full all-pairs
-// sweep per iteration, planner (plan + sweep/index/fallback) versus the
-// cached chain.
+// in miniature: ~512 pointers, ~130k same-function pairs): a full
+// all-pairs sweep per iteration, planner (plan + sweep/index) versus the
+// Manager chain that the index is compiled from.
 func benchPlanner() *PlannerBench {
 	m := benchgen.WideBatch("widebatch", 512)
 	newChain := func() *alias.Manager {
@@ -209,21 +206,20 @@ func benchPlanner() *PlannerBench {
 		shards[si].vals = append(shards[si].vals, q.P, q.Q)
 	}
 
-	legacy := newChain()
+	chain := newChain()
 	mgrRes := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, q := range qs {
-				legacy.Evaluate(q.P, q.Q)
+				chain.Evaluate(q.P, q.Q)
 			}
 		}
 	})
 
-	indexed := newChain()
-	ix := alias.BuildIndex(indexed, m)
+	ix := alias.BuildIndex(chain, m)
 	if ix == nil {
 		return nil
 	}
-	pl := alias.NewPlanner(indexed.Snapshot(), ix)
+	pl := alias.NewPlanner(ix)
 	sweep := func() {
 		var tally alias.PlanTally
 		for _, sh := range shards {

@@ -38,10 +38,10 @@ type Driver struct {
 	// GOMAXPROCS.
 	Parallel int
 	// Indexed compiles each module's alias index and answers the precision
-	// sweep through it in full-verdict mode (alias.Planner.EvaluateFull):
-	// index-conclusive pairs skip the chain walk, inconclusive pairs fall
-	// back to the Manager. Verdicts are identical by construction, so every
-	// Fig. 13/14 number is unchanged — only the sweep gets cheaper.
+	// sweep through it (alias.Index.Evaluate): index-conclusive pairs skip
+	// the chain walk, inconclusive pairs fall back to the Manager. Verdicts
+	// are identical by construction, so every Fig. 13/14 number is
+	// unchanged — only the sweep gets cheaper.
 	Indexed bool
 }
 
@@ -91,15 +91,11 @@ func (r *PrecisionRow) add(o PrecisionRow) {
 
 // NewPrecisionManager builds the evaluation chain of Fig. 13 — scev →
 // basic → rbaa — over one module, returning the manager and the rbaa
-// member (needed separately for the §5 ratio). Memoization is disabled:
-// a precision sweep visits each canonical pair exactly once, so a cache
-// would pay per-query stores for a guaranteed 0% hit rate. Clients that
-// re-query pairs (opt passes, interactive use) should build their own
-// manager with the default cache.
+// member (needed separately for the §5 ratio).
 func NewPrecisionManager(m *ir.Module) (*alias.Manager, *rbaa.Analysis) {
 	r := rbaa.New(m, pointer.Options{})
 	mgr := alias.NewManager(
-		alias.ManagerOptions{Label: "scev+basic+rbaa", CacheLimit: -1},
+		alias.ManagerOptions{Label: "scev+basic+rbaa"},
 		scevaa.New(m), basicaa.New(m), r)
 	return mgr, r
 }
@@ -148,11 +144,10 @@ func (d *Driver) Sweep(mgr *alias.Manager, qs []alias.Pair) PrecisionRow {
 	return row
 }
 
-// SweepIndexed is Sweep routed through a compiled index: each chunk answers
-// its pairs with alias.Planner.EvaluateFull — the index when conclusive,
-// the manager otherwise — and folds its tally once. The manager must be the
-// NewPrecisionManager chain and ix must have been built over it; a nil ix
-// degrades to the plain sweep.
+// SweepIndexed is Sweep routed through a compiled index: each pair is
+// answered by alias.Index.Evaluate when the index is conclusive, by the
+// manager otherwise. The manager must be the NewPrecisionManager chain and
+// ix must have been built over it; a nil ix degrades to the plain sweep.
 func (d *Driver) SweepIndexed(mgr *alias.Manager, ix *alias.Index, qs []alias.Pair) PrecisionRow {
 	if ix == nil {
 		return d.Sweep(mgr, qs)
@@ -162,14 +157,13 @@ func (d *Driver) SweepIndexed(mgr *alias.Manager, ix *alias.Index, qs []alias.Pa
 			panic(fmt.Sprintf("experiments.SweepIndexed: manager member %d is not %q; build the chain like NewPrecisionManager", i, want))
 		}
 	}
-	pl := alias.NewPlanner(mgr.Snapshot(), ix)
 	eval := func(qs []alias.Pair) PrecisionRow {
-		var tally alias.PlanTally
-		row := evalChunkWith(qs, func(p, q *ir.Value) alias.Verdict {
-			return pl.EvaluateFull(p, q, &tally)
+		return evalChunkWith(qs, func(p, q *ir.Value) alias.Verdict {
+			if v, ok := ix.Evaluate(p, q); ok {
+				return v
+			}
+			return mgr.Evaluate(p, q)
 		})
-		pl.Fold(tally)
-		return row
 	}
 	p := d.workers()
 	if p <= 1 || len(qs) == 0 {

@@ -9,13 +9,13 @@ import (
 // FrozenWrite flags assignments to fields of types annotated
 // "aliaslint:frozen" outside their constructor/build functions.
 //
-// A frozen type is read-only after construction: alias.Snapshot, the
-// compiled FuncIndex/Index columns, planner Plans and interned
-// symbolic.Exprs are all shared across goroutines on the strength of this
-// contract, which until now lived only in comments. The analyzer makes it
-// mechanical: a write to a frozen field — `x.F = v`, `x.F += v`, `x.F++`,
-// or a write through a field's map/slice (`x.F[k] = v`) — is a finding
-// unless the enclosing function is an approved initializer.
+// A frozen type is read-only after construction: the compiled
+// FuncIndex/Index columns, planner Plans and interned symbolic.Exprs are
+// all shared across goroutines on the strength of this contract, which
+// until now lived only in comments. The analyzer makes it mechanical: a
+// write to a frozen field — `x.F = v`, `x.F += v`, `x.F++`, or a write
+// through a field's map/slice (`x.F[k] = v`) — is a finding unless the
+// enclosing function is an approved initializer.
 //
 // Approved initializers are, in the frozen type's own package only:
 // functions named like constructors (prefixes new/New/build/Build/make/Make,

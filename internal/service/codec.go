@@ -260,14 +260,14 @@ type wireNames struct {
 	members [][]byte // by chain position
 }
 
-func newWireNames(module string, snap alias.Snapshot) wireNames {
+func newWireNames(module string, ix *alias.Index) wireNames {
 	quote := func(s string) []byte {
 		b, _ := json.Marshal(s) // a string always marshals
 		return b
 	}
-	w := wireNames{module: quote(module), members: make([][]byte, snap.NumMembers())}
+	w := wireNames{module: quote(module), members: make([][]byte, ix.NumMembers())}
 	for i := range w.members {
-		w.members[i] = quote(snap.MemberName(i))
+		w.members[i] = quote(ix.MemberName(i))
 	}
 	return w
 }

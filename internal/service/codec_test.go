@@ -85,10 +85,10 @@ func queryBody(module string, pairs []Pair) []byte {
 }
 
 // TestQueryResponseByteGolden pins the encoder to encoding/json: for the
-// Fig. 1 module and every Fig. 13 program, with the planner on and off,
-// the handler's response to a batch of every pair is byte for byte
-// json.Marshal of a QueryResponse holding RunBatch's results, plus the
-// newline writeJSON frames every body with.
+// Fig. 1 module and every Fig. 13 program, the handler's response to a
+// batch of every pair is byte for byte json.Marshal of a QueryResponse
+// holding RunBatch's results, plus the newline writeJSON frames every body
+// with.
 func TestQueryResponseByteGolden(t *testing.T) {
 	type module struct {
 		name, format, src string
@@ -103,40 +103,38 @@ func TestQueryResponseByteGolden(t *testing.T) {
 		m := benchgen.Generate(c)
 		mods = append(mods, module{c.Name, "ir", m.String(), m})
 	}
-	for _, planner := range []bool{true, false} {
-		s := New(Config{Parallel: 4, DisablePlanner: !planner})
-		defer s.Close()
-		noAlias := 0
-		for _, mod := range mods {
-			uploadModule(t, s, mod.name, mod.format, mod.src)
-			pairs := namedPairs(mod.m)
-			if len(pairs) > s.cfg.MaxBatch {
-				t.Fatalf("%s: %d pairs exceed one batch", mod.name, len(pairs))
-			}
-			h, _ := s.Registry().Get(mod.name)
-			results, err := s.RunBatch(context.Background(), h, pairs)
-			h.Release()
-			if err != nil {
-				t.Fatalf("%s: RunBatch: %v", mod.name, err)
-			}
-			want := QueryResponse{Module: mod.name, Results: results}
-			for _, r := range results {
-				if r.Result == "no-alias" {
-					want.NoAlias++
-				}
-			}
-			wantBytes, _ := json.Marshal(want)
-			wantBytes = append(wantBytes, '\n')
-			code, got := serveQuery(s, queryBody(mod.name, pairs))
-			if code != http.StatusOK || !bytes.Equal(got, wantBytes) {
-				t.Fatalf("%s (planner %v): handler answered %d\n got: %.300s\nwant: %.300s",
-					mod.name, planner, code, got, wantBytes)
-			}
-			noAlias += want.NoAlias
+	s := New(Config{Parallel: 4})
+	defer s.Close()
+	noAlias := 0
+	for _, mod := range mods {
+		uploadModule(t, s, mod.name, mod.format, mod.src)
+		pairs := namedPairs(mod.m)
+		if len(pairs) > s.cfg.MaxBatch {
+			t.Fatalf("%s: %d pairs exceed one batch", mod.name, len(pairs))
 		}
-		if noAlias == 0 {
-			t.Fatalf("planner %v: no no-alias answers; the golden is vacuous", planner)
+		h, _ := s.Registry().Get(mod.name)
+		results, err := s.RunBatch(context.Background(), h, pairs)
+		h.Release()
+		if err != nil {
+			t.Fatalf("%s: RunBatch: %v", mod.name, err)
 		}
+		want := QueryResponse{Module: mod.name, Results: results}
+		for _, r := range results {
+			if r.Result == "no-alias" {
+				want.NoAlias++
+			}
+		}
+		wantBytes, _ := json.Marshal(want)
+		wantBytes = append(wantBytes, '\n')
+		code, got := serveQuery(s, queryBody(mod.name, pairs))
+		if code != http.StatusOK || !bytes.Equal(got, wantBytes) {
+			t.Fatalf("%s: handler answered %d\n got: %.300s\nwant: %.300s",
+				mod.name, code, got, wantBytes)
+		}
+		noAlias += want.NoAlias
+	}
+	if noAlias == 0 {
+		t.Fatal("no no-alias answers; the golden is vacuous")
 	}
 }
 
@@ -230,17 +228,13 @@ func TestQueryHandlerAllocations(t *testing.T) {
 
 // FuzzQueryBody diffs the codec against encoding/json on arbitrary bodies:
 // whatever the scanner accepts, encoding/json decodes to the same module
-// and pairs; and against the Fig. 1 module, with the planner on and off,
-// the handler's status and body equal referenceQuery's. MaxBatch is small
-// so the size check is reached too.
+// and pairs; and against the Fig. 1 module the handler's status and body
+// equal referenceQuery's. MaxBatch is small so the size check is reached
+// too.
 func FuzzQueryBody(f *testing.F) {
-	var services []*Service
-	for _, planner := range []bool{true, false} {
-		s := New(Config{MaxBatch: 4, MaxBatchBytes: 1 << 12, DisablePlanner: !planner})
-		defer s.Close()
-		uploadModule(f, s, "fig1", "minic", fig1Source(f))
-		services = append(services, s)
-	}
+	s := New(Config{MaxBatch: 4, MaxBatchBytes: 1 << 12})
+	defer s.Close()
+	uploadModule(f, s, "fig1", "minic", fig1Source(f))
 	for _, seed := range []string{
 		`{"module":"fig1","pairs":[{"func":"prepare","a":"p","b":"m"},{"func":"prepare","a":"m","b":"i"}]}`,
 		`{"module":"fig1","pairs":[{"func":"main","a":"b","b":"s"},{"func":"prepare","a":"e","b":"f"}]}`,
@@ -273,13 +267,10 @@ func FuzzQueryBody(f *testing.F) {
 				}
 			}
 		}
-		for _, s := range services {
-			code, got := serveQuery(s, body)
-			wantCode, want := referenceQuery(s, body)
-			if code != wantCode || !bytes.Equal(got, want) {
-				t.Fatalf("planner %v: handler answered %d %q, reference %d %q",
-					!s.cfg.DisablePlanner, code, got, wantCode, want)
-			}
+		code, got := serveQuery(s, body)
+		wantCode, want := referenceQuery(s, body)
+		if code != wantCode || !bytes.Equal(got, want) {
+			t.Fatalf("handler answered %d %q, reference %d %q", code, got, wantCode, want)
 		}
 	})
 }

@@ -4,42 +4,28 @@ import (
 	"runtime/debug"
 	"time"
 
-	"repro/internal/alias"
 	"repro/internal/budget"
 )
 
-// Degradation tuning. Shrinking the memo to 1/8 of the configured bound
-// trades recompute cost for memory while keeping the hottest pairs cached;
-// the per-round eviction cap keeps one governor tick from emptying the
-// registry before the next heap probe can observe the effect of the first
-// few evictions; the GC interval bounds how often a hard-pressure tick may
-// force a collection to turn freed accounting into freed heap.
+// Degradation tuning. The per-round eviction cap keeps one governor tick
+// from emptying the registry before the next heap probe can observe the
+// effect of the first few evictions; the GC interval bounds how often a
+// hard-pressure tick may force a collection to turn freed accounting into
+// freed heap.
 const (
-	shrinkDiv            = 8
-	shrunkCacheFloor     = 256
 	maxEvictionsPerRound = 4
 	minForcedGCInterval  = time.Second
 )
 
-// shrunkCacheLimit is the degraded per-module memo bound.
-func (s *Service) shrunkCacheLimit() int {
-	limit := s.fullCacheLimit / shrinkDiv
-	if limit < shrunkCacheFloor {
-		limit = shrunkCacheFloor
-	}
-	return limit
-}
-
 // sampleAccounted sums the service's own memory model: every ready
-// module's build estimate (IR, analyses, index, interned expressions) plus
-// its live memo entries, the analysis-reuse cache's retained columns, and
-// the on-disk store's live bytes (recovery materializes every live record
-// back into RAM, so store growth is deferred memory the admission levers
-// should see coming).
+// module's build estimate (IR, value maps, index, interned expressions),
+// the analysis-reuse cache's retained columns, and the on-disk store's
+// live bytes (recovery materializes every live record back into RAM, so
+// store growth is deferred memory the admission levers should see coming).
 func (s *Service) sampleAccounted() int64 {
 	var acc int64
-	s.eachReadyModule(func(h *Handle, st alias.ManagerStats) {
-		acc += h.MemBytes() + st.Cached*memoEntryCost
+	s.eachReadyModule(func(h *Handle) {
+		acc += h.MemBytes()
 	})
 	acc += s.reuse.SizeBytes()
 	if s.store != nil {
@@ -58,49 +44,28 @@ func (s *Service) reconcileBudget() budget.State {
 	return s.budget.Reconcile()
 }
 
-// GovernOnce runs one governor round: reconcile the budget, then apply or
-// unwind the graduated degradation levers. The background loop calls this
-// every Config.GovernEvery; tests with GovernEvery < 0 call it directly.
-// Admission checks elsewhere only read the tracker's state — all
-// *actions* (cache shrinks, evictions, forced GC) happen here, on one
-// goroutine, never from registry callbacks (teardown can run under
+// GovernOnce runs one governor round: reconcile the budget, then apply the
+// degradation levers while it stays past the soft watermark. The
+// background loop calls this every Config.GovernEvery; tests with
+// GovernEvery < 0 call it directly. Admission checks elsewhere only read
+// the tracker's state — all *actions* (evictions, forced GC) happen here,
+// on one goroutine, never from registry callbacks (teardown can run under
 // registry locks).
 func (s *Service) GovernOnce() {
 	if !s.budget.Enabled() {
 		return
 	}
-	st := s.reconcileBudget()
-	if st >= budget.StateSoft {
+	if st := s.reconcileBudget(); st >= budget.StateSoft {
 		s.degrade(st)
-	} else if s.degraded.Load() {
-		s.restore()
 	}
 }
 
-// degrade applies the soft-watermark levers: shrink every ready module's
-// verdict memo, then evict unpinned LRU modules (a bounded number per
-// round) while the accounting sum stays above the soft watermark. At the
-// hard watermark it additionally forces a (rate-limited) GC so the heap
-// probe can observe freed memory instead of waiting out GOGC. Runs every
-// tick while degraded: modules built after the first round get their
-// memos shrunk too (Resize to the current bound is a cheap no-op).
+// degrade applies the soft-watermark lever: evict unpinned LRU modules (a
+// bounded number per round) while the accounting sum stays above the soft
+// watermark. At the hard watermark it additionally forces a (rate-limited)
+// GC so the heap probe can observe freed memory instead of waiting out
+// GOGC.
 func (s *Service) degrade(st budget.State) {
-	first := s.degraded.CompareAndSwap(false, true)
-	shrunk := 0
-	limit := s.shrunkCacheLimit()
-	s.eachReadyModule(func(h *Handle, _ alias.ManagerStats) {
-		if h.ResizeCache(limit) {
-			shrunk++
-		}
-	})
-	if shrunk > 0 {
-		s.cacheShrinks.Add(int64(shrunk))
-	}
-	if first {
-		s.log.Warn("memory budget pressure: degrading",
-			"state", st.String(), "used", s.budget.Used(), "soft", s.budget.SoftBytes(),
-			"hard", s.budget.HardBytes(), "memo_limit", limit, "memos_shrunk", shrunk)
-	}
 	evicted := 0
 	for evicted < maxEvictionsPerRound && s.sampleAccounted() > s.budget.SoftBytes() {
 		name, ok := s.reg.EvictOne()
@@ -109,7 +74,8 @@ func (s *Service) degrade(st budget.State) {
 		}
 		evicted++
 		s.budgetEvictions.Add(1)
-		s.log.Warn("memory budget pressure: evicted module", "module", name)
+		s.log.Warn("memory budget pressure: evicted module", "module", name,
+			"state", st.String(), "used", s.budget.Used(), "soft", s.budget.SoftBytes())
 	}
 	if st == budget.StateHard {
 		now := time.Now().UnixNano()
@@ -122,25 +88,9 @@ func (s *Service) degrade(st budget.State) {
 			debug.FreeOSMemory()
 		}
 	}
-	if shrunk > 0 || evicted > 0 {
+	if evicted > 0 {
 		// Let admission see the post-action accounting now rather than a
 		// tick later.
 		s.reconcileBudget()
 	}
-}
-
-// restore unwinds degradation once the tracker recovers to OK: every ready
-// module's memo returns to the configured bound.
-func (s *Service) restore() {
-	if !s.degraded.CompareAndSwap(true, false) {
-		return
-	}
-	restored := 0
-	s.eachReadyModule(func(h *Handle, _ alias.ManagerStats) {
-		if h.ResizeCache(s.fullCacheLimit) {
-			restored++
-		}
-	})
-	s.log.Info("memory budget recovered: restored memo caches",
-		"memos_restored", restored, "memo_limit", s.fullCacheLimit)
 }

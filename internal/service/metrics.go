@@ -16,7 +16,7 @@ import (
 
 // metrics is the service's telemetry surface: request/pipeline instruments
 // updated on the hot path, plus scrape-time collectors that read the very
-// same ManagerStats / PlannerStats / cache snapshots GET /v1/stats renders.
+// same PlannerStats / store / budget snapshots GET /v1/stats renders.
 // Sourcing both endpoints from one snapshot function per module is what
 // makes the reconciliation CI check ("/metrics sums == /v1/stats") hold
 // exactly rather than approximately.
@@ -207,9 +207,6 @@ func newMetrics(s *Service) *metrics {
 			emit(float64(s.sheds.uploadDraining.Load()), "upload_draining")
 			emit(float64(s.sheds.uploadRecovering.Load()), "upload_recovering")
 		})
-	reg.CounterFunc("aliasd_budget_cache_shrinks_total",
-		"Per-module memo-cache shrink operations applied by the budget governor.",
-		func() float64 { return float64(s.cacheShrinks.Load()) })
 	reg.CounterFunc("aliasd_budget_evictions_total",
 		"Modules force-evicted by the budget governor (distinct from registry-bound evictions).",
 		func() float64 { return float64(s.budgetEvictions.Load()) })
@@ -233,55 +230,17 @@ func newMetrics(s *Service) *metrics {
 
 	// ---- Scrape-time collectors: the /v1/stats numbers, re-rendered. ----
 
-	perModule := func(name, help, typ string, get func(st alias.ManagerStats, h *Handle) float64) {
-		reg.Collect(name, help, typ, []string{"module"}, func(emit func(float64, ...string)) {
-			s.eachReadyModule(func(h *Handle, st alias.ManagerStats) {
-				emit(get(st, h), h.Name)
-			})
-		})
-	}
-	perModule("aliasd_module_queries_total", "Manager queries per ready module (cache hits included).",
-		"counter", func(st alias.ManagerStats, _ *Handle) float64 { return float64(st.Queries) })
-	perModule("aliasd_module_cache_hits_total", "Memo-cache hits per ready module.",
-		"counter", func(st alias.ManagerStats, _ *Handle) float64 { return float64(st.CacheHits) })
-	perModule("aliasd_module_cache_misses_total", "Memo-cache misses per ready module.",
-		"counter", func(st alias.ManagerStats, _ *Handle) float64 { return float64(st.Misses) })
-	perModule("aliasd_module_computed_total", "Chain-computed queries per ready module.",
-		"counter", func(st alias.ManagerStats, _ *Handle) float64 { return float64(st.Computed) })
-	perModule("aliasd_module_noalias_total", "Computed no-alias verdicts per ready module.",
-		"counter", func(st alias.ManagerStats, _ *Handle) float64 { return float64(st.NoAlias) })
-	perModule("aliasd_module_cache_evictions_total", "Memo-cache evictions per ready module.",
-		"counter", func(st alias.ManagerStats, _ *Handle) float64 { return float64(st.Evictions) })
-	perModule("aliasd_module_cache_entries", "Live memo-cache entries per ready module.",
-		"gauge", func(st alias.ManagerStats, _ *Handle) float64 { return float64(st.Cached) })
-	perModule("aliasd_module_mem_bytes", "Approximate resident bytes per ready module (IR, analyses, index, interned exprs, memo cache).",
-		"gauge", func(st alias.ManagerStats, h *Handle) float64 {
-			return float64(h.MemBytes() + st.Cached*memoEntryCost)
-		})
-
-	reg.Collect("aliasd_member_noalias_total", "No-alias proofs per chain member (computed queries only).",
-		"counter", []string{"module", "member"}, func(emit func(float64, ...string)) {
-			s.eachReadyModule(func(h *Handle, st alias.ManagerStats) {
-				for i := range st.Members {
-					emit(float64(st.Members[i].NoAlias), h.Name, st.Members[i].Name)
-				}
-			})
-		})
-	reg.Collect("aliasd_member_first_wins_total", "LLVM-AAResults-style first-prover attributions per chain member.",
-		"counter", []string{"module", "member"}, func(emit func(float64, ...string)) {
-			s.eachReadyModule(func(h *Handle, st alias.ManagerStats) {
-				for i := range st.Members {
-					emit(float64(st.Members[i].FirstWins), h.Name, st.Members[i].Name)
-				}
+	reg.Collect("aliasd_module_mem_bytes", "Approximate resident bytes per ready module (IR, value maps, index, interned exprs).",
+		"gauge", []string{"module"}, func(emit func(float64, ...string)) {
+			s.eachReadyModule(func(h *Handle) {
+				emit(float64(h.MemBytes()), h.Name)
 			})
 		})
 
 	perPlanner := func(name, help string, get func(ps alias.PlannerStats) float64) {
 		reg.Collect(name, help, "counter", []string{"module"}, func(emit func(float64, ...string)) {
-			s.eachReadyModule(func(h *Handle, st alias.ManagerStats) {
-				if h.Planner != nil {
-					emit(get(h.Planner.Stats()), h.Name)
-				}
+			s.eachReadyModule(func(h *Handle) {
+				emit(get(h.Planner.Stats()), h.Name)
 			})
 		})
 	}
@@ -292,12 +251,9 @@ func newMetrics(s *Service) *metrics {
 	perPlanner("aliasd_planner_groups_total", "Overlap groups produced by the sweep partition.",
 		func(ps alias.PlannerStats) float64 { return float64(ps.Groups) })
 	reg.Collect("aliasd_planner_pairs_total",
-		"Planner-answered pairs by path (sweep short-circuit | compiled index | legacy fallback).",
+		"Planner-answered pairs by path (sweep short-circuit | compiled index | fallback outside the index).",
 		"counter", []string{"module", "path"}, func(emit func(float64, ...string)) {
-			s.eachReadyModule(func(h *Handle, _ alias.ManagerStats) {
-				if h.Planner == nil {
-					return
-				}
+			s.eachReadyModule(func(h *Handle) {
 				ps := h.Planner.Stats()
 				emit(float64(ps.SweepNoAlias), h.Name, "sweep")
 				emit(float64(ps.IndexPairs), h.Name, "index")
@@ -305,16 +261,12 @@ func newMetrics(s *Service) *metrics {
 			})
 		})
 	reg.Collect("aliasd_planner_noalias_total",
-		"Planner no-alias verdicts by path (sweep pairs are no-alias by construction).",
+		"Planner no-alias verdicts by path (sweep pairs are no-alias by construction; fallback pairs never are).",
 		"counter", []string{"module", "path"}, func(emit func(float64, ...string)) {
-			s.eachReadyModule(func(h *Handle, _ alias.ManagerStats) {
-				if h.Planner == nil {
-					return
-				}
+			s.eachReadyModule(func(h *Handle) {
 				ps := h.Planner.Stats()
 				emit(float64(ps.SweepNoAlias), h.Name, "sweep")
 				emit(float64(ps.IndexNoAlias), h.Name, "index")
-				emit(float64(ps.FallbackNoAlias), h.Name, "fallback")
 			})
 		})
 
@@ -375,16 +327,15 @@ func newMetrics(s *Service) *metrics {
 	return m
 }
 
-// eachReadyModule runs fn over every ready module with one stats snapshot,
-// pinned for the duration of the call (List pins, releaseAll releases).
-func (s *Service) eachReadyModule(fn func(h *Handle, st alias.ManagerStats)) {
+// eachReadyModule runs fn over every ready module, pinned for the duration
+// of the call (List pins, releaseAll releases).
+func (s *Service) eachReadyModule(fn func(h *Handle)) {
 	handles := s.reg.List()
 	defer releaseAll(handles)
 	for _, h := range handles {
-		if h.State() != StateReady {
-			continue
+		if h.State() == StateReady {
+			fn(h)
 		}
-		fn(h, h.Snap.Stats())
 	}
 }
 

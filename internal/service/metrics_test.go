@@ -109,31 +109,20 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 	}
 	ms := stats.Modules[0]
 	mod := map[string]string{"module": "fig1"}
-	for family, want := range map[string]float64{
-		"aliasd_module_queries_total":         float64(ms.Queries),
-		"aliasd_module_cache_hits_total":      float64(ms.CacheHits),
-		"aliasd_module_cache_misses_total":    float64(ms.CacheMisses),
-		"aliasd_module_computed_total":        float64(ms.Computed),
-		"aliasd_module_noalias_total":         float64(ms.NoAlias),
-		"aliasd_module_cache_evictions_total": float64(ms.Evictions),
-		"aliasd_module_cache_entries":         float64(ms.Cached),
-		"aliasd_module_mem_bytes":             float64(ms.MemBytes),
-	} {
-		if got := sampleValue(fams, family, mod); got != want {
-			t.Errorf("%s = %v, /v1/stats says %v", family, got, want)
-		}
-	}
-	for _, mem := range ms.Members {
-		lbl := map[string]string{"module": "fig1", "member": mem.Name}
-		if got := sampleValue(fams, "aliasd_member_noalias_total", lbl); got != float64(mem.NoAlias) {
-			t.Errorf("member %s noalias = %v, stats says %d", mem.Name, got, mem.NoAlias)
-		}
-		if got := sampleValue(fams, "aliasd_member_first_wins_total", lbl); got != float64(mem.FirstWins) {
-			t.Errorf("member %s first_wins = %v, stats says %d", mem.Name, got, mem.FirstWins)
-		}
+	if got := sampleValue(fams, "aliasd_module_mem_bytes", mod); got != float64(ms.MemBytes) {
+		t.Errorf("aliasd_module_mem_bytes = %v, /v1/stats says %d", got, ms.MemBytes)
 	}
 	if ms.Planner == nil {
-		t.Fatal("planner section absent with planner on")
+		t.Fatal("planner section absent on a ready module")
+	}
+	for family, want := range map[string]int64{
+		"aliasd_planner_batches_total":        ms.Planner.Batches,
+		"aliasd_planner_planned_values_total": ms.Planner.PlannedValues,
+		"aliasd_planner_groups_total":         ms.Planner.Groups,
+	} {
+		if got := sampleValue(fams, family, mod); got != float64(want) {
+			t.Errorf("%s = %v, /v1/stats says %d", family, got, want)
+		}
 	}
 	for path, want := range map[string]int64{
 		"sweep":    ms.Planner.SweepNoAlias,
@@ -143,6 +132,15 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 		lbl := map[string]string{"module": "fig1", "path": path}
 		if got := sampleValue(fams, "aliasd_planner_pairs_total", lbl); got != float64(want) {
 			t.Errorf("planner pairs path=%s = %v, stats says %d", path, got, want)
+		}
+	}
+	for path, want := range map[string]int64{
+		"sweep": ms.Planner.SweepNoAlias,
+		"index": ms.Planner.IndexNoAlias,
+	} {
+		lbl := map[string]string{"module": "fig1", "path": path}
+		if got := sampleValue(fams, "aliasd_planner_noalias_total", lbl); got != float64(want) {
+			t.Errorf("planner noalias path=%s = %v, stats says %d", path, got, want)
 		}
 	}
 

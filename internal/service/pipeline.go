@@ -148,17 +148,15 @@ func (b *queryBuf) shardByFunc(rs []resolvedPair) []shard {
 const batchChunk = 256
 
 // evaluate is the query-worker stage plus the order-restoring half of the
-// aggregate stage: shards are cut into chunks, chunks fan out across the
-// service pool, and each worker writes verdicts into the request-indexed
-// slots of b's verdict buffer. The result is identical to a sequential
-// evaluation because slot i depends only on pair i.
-//
-// With a planner on the handle, each shard is first swept into a plan (the
-// O(N log N) partition over the shard's distinct values — a shard is one
-// function, the planner's unit), and the workers answer pairs through the
-// plan: cross-group pairs short-circuit, intra-group pairs hit the compiled
-// index, inconclusive pairs walk the legacy chain. Tallies are kept per
-// chunk and folded once, so workers never contend on the counters.
+// aggregate stage: each shard is first swept into a plan (the O(N log N)
+// partition over the shard's distinct values — a shard is one function,
+// the planner's unit), shards are cut into chunks, chunks fan out across
+// the service pool, and each worker answers its pairs through the plan
+// into the request-indexed slots of b's verdict buffer: cross-group pairs
+// short-circuit, the rest hit the compiled index. The result is identical
+// to a sequential evaluation because slot i depends only on pair i.
+// Tallies are kept per chunk and folded once, so workers never contend on
+// the counters.
 //
 // Cancellation is cooperative at chunk granularity: a shed or timed-out
 // request stops dispatching chunks (ForEachCtx) and returns the context's
@@ -182,36 +180,27 @@ func (s *Service) evaluate(ctx context.Context, tr *telemetry.Trace, h *Handle, 
 		}
 	}
 	planStart := time.Now()
-	var plans []*alias.Plan
-	if h.Planner != nil {
-		plans = make([]*alias.Plan, len(shards))
-		for si := range shards {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			vals := b.vals[:0]
-			for _, rp := range shards[si].pairs {
-				vals = append(vals, rp.p, rp.q)
-			}
-			b.vals = vals
-			plans[si] = h.Planner.Plan(vals)
+	plans := make([]*alias.Plan, len(shards))
+	for si := range shards {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
+		vals := b.vals[:0]
+		for _, rp := range shards[si].pairs {
+			vals = append(vals, rp.p, rp.q)
+		}
+		b.vals = vals
+		plans[si] = h.Planner.Plan(vals)
 	}
 	evalStart := observeStage(s.metrics.stagePlan, stgPlan, tr, planStart)
 	err := s.pool.ForEachCtx(ctx, len(tasks), func(ti int) {
 		t := tasks[ti]
-		if plans != nil {
-			var tally alias.PlanTally
-			plan := plans[t.sh]
-			for _, rp := range shards[t.sh].pairs[t.lo:t.hi] {
-				out[rp.idx] = plan.Evaluate(rp.p, rp.q, &tally)
-			}
-			h.Planner.Fold(tally)
-			return
-		}
+		var tally alias.PlanTally
+		plan := plans[t.sh]
 		for _, rp := range shards[t.sh].pairs[t.lo:t.hi] {
-			out[rp.idx] = h.Snap.Evaluate(rp.p, rp.q)
+			out[rp.idx] = plan.Evaluate(rp.p, rp.q, &tally)
 		}
+		h.Planner.Fold(tally)
 	})
 	observeStage(s.metrics.stageEvaluate, stgEvaluate, tr, evalStart)
 	if err != nil {
@@ -221,20 +210,20 @@ func (s *Service) evaluate(ctx context.Context, tr *telemetry.Trace, h *Handle, 
 }
 
 // encodeVerdict renders one verdict with member names resolved against the
-// snapshot's chain: the Result form RunBatch returns. appendVerdict writes
+// index's chain: the Result form RunBatch returns. appendVerdict writes
 // the same rendering straight to the wire. The prover list is sized exactly
 // from the verdict's mask, so encoding never grows a slice.
-func encodeVerdict(snap alias.Snapshot, v alias.Verdict) Result {
+func encodeVerdict(ix *alias.Index, v alias.Verdict) Result {
 	r := Result{Result: v.Result.String()}
 	if v.Result == alias.NoAlias && v.Resolved >= 0 {
-		r.Resolved = snap.MemberName(v.Resolved)
+		r.Resolved = ix.MemberName(v.Resolved)
 	}
 	if n := v.NumProvers(); n > 0 {
 		r.Provers = make([]string, 0, n)
 	}
-	for i := 0; i < snap.NumMembers(); i++ {
+	for i := 0; i < ix.NumMembers(); i++ {
 		if v.MemberNoAlias(i) {
-			r.Provers = append(r.Provers, snap.MemberName(i))
+			r.Provers = append(r.Provers, ix.MemberName(i))
 		}
 		if d := v.Detail(i); d != "" && r.Detail == "" {
 			r.Detail = d
@@ -302,8 +291,9 @@ func (s *Service) RunBatch(ctx context.Context, h *Handle, pairs []Pair) ([]Resu
 		return nil, err
 	}
 	results := make([]Result, len(verdicts))
+	ix := h.Planner.Index()
 	for i, v := range verdicts {
-		results[i] = encodeVerdict(h.Snap, v)
+		results[i] = encodeVerdict(ix, v)
 	}
 	return results, nil
 }

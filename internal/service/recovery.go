@@ -38,7 +38,7 @@ func (s *Service) Recover() error {
 	rebuilt, skipped := 0, 0
 	replayed, err := s.store.Replay(func(rec store.Record) error {
 		h := NewPending(rec.Name, rec.Format)
-		if berr := h.build(string(rec.Source), s.cfg.MaxSourceBytes, s.managerOptions(), !s.cfg.DisablePlanner, s.reuse); berr != nil {
+		if berr := h.build(string(rec.Source), s.cfg.MaxSourceBytes, s.reuse); berr != nil {
 			s.log.Error("recovered module failed to build; skipping",
 				"module", rec.Name, "error", berr)
 			skipped++

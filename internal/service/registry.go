@@ -44,17 +44,18 @@ func (s BuildState) String() string {
 	return fmt.Sprintf("BuildState(%d)", int32(s))
 }
 
-// Handle is one registered module: the verified IR, the analysis chain
-// behind its read-only snapshot, and the value index the validate stage
-// resolves query names against. The built fields (Mod, Snap, IRStats,
-// PairQueries, values, wire) are written exactly once — before the state
-// turns Ready — and are immutable afterwards; readers must observe State()
-// == StateReady before touching them.
+// Handle is one registered module: the verified IR, the planner over the
+// module's compiled alias index, and the value index the validate stage
+// resolves query names against. The member analyses the index is compiled
+// from are dropped once it is built. The built fields (Mod, Planner,
+// IRStats, PairQueries, values, wire) are written exactly once — before
+// the state turns Ready — and are immutable afterwards; readers must
+// observe State() == StateReady before touching them.
 //
 // Handles are refcounted. Every registry lookup (Acquire, Get, List) pins
 // the handle; callers release the pin with Release when done. A handle
 // evicted or deleted from the registry is retired: it tears down — drops
-// the module, snapshot and value index so their memory can be reclaimed —
+// the module, planner and value index so their memory can be reclaimed —
 // only when the last pin is released, so an in-flight batch keeps its
 // evicted handle fully usable until completion.
 //
@@ -65,12 +66,10 @@ type Handle struct {
 	Format    string // "ir" or "minic"
 	CreatedAt time.Time
 
-	Mod  *ir.Module
-	Snap alias.Snapshot
-	// Planner routes batches through the compiled alias index and the
-	// sweep-line partitioner, falling back to Snap for inconclusive pairs.
-	// nil when the service disables planning (Config.DisablePlanner) or the
-	// chain did not compile; the pipeline then walks the chain per pair.
+	Mod *ir.Module
+	// Planner answers every batch from the compiled alias index it holds:
+	// the sweep-line partition first, the index columns for the rest. The
+	// index also carries the chain's label and member names.
 	Planner *alias.Planner
 	IRStats ir.Stats
 	// PairQueries is the module's paper-style query count (all unordered
@@ -88,20 +87,13 @@ type Handle struct {
 	// encoder.
 	wire wireNames
 
-	// mgr is the manager behind Snap, kept only so the memory-budget
-	// governor can rebound the verdict memo at runtime; the query path
-	// never touches it (Snap is the read-only surface). Written once in
-	// runBuild, cleared in teardown.
-	mgr *alias.Manager
-
-	// memBytes approximates the handle's resident cost (see estimateMem);
-	// the live memo-cache size is added on top at stats time.
+	// memBytes approximates the handle's resident cost (see estimateMem).
 	memBytes int64
 
 	// interner owns every symbolic expression the module's analyses minted
 	// (pointer ranges, index shapes, planner keys). Module-scoped so that
 	// retiring the handle releases the whole table — the expressions are
-	// unreachable once Mod/Snap/Planner drop. Written once in runBuild,
+	// unreachable once Mod and Planner drop. Written once in runBuild,
 	// cleared in teardown.
 	interner *symbolic.Interner
 
@@ -169,23 +161,9 @@ func (h *Handle) teardown() {
 		return
 	}
 	h.Mod = nil
-	h.Snap = alias.Snapshot{}
 	h.Planner = nil
 	h.values = nil
 	h.interner = nil
-	h.mgr = nil
-}
-
-// ResizeCache rebounds the module's verdict memo (see
-// alias.Manager.ResizeCache), reporting whether the bound changed. No-op
-// on handles that are not ready or run with caching disabled. The budget
-// governor calls this only through pinned handles (eachReadyModule), so
-// mgr cannot be torn down mid-call.
-func (h *Handle) ResizeCache(limit int) bool {
-	if h.mgr == nil {
-		return false
-	}
-	return h.mgr.ResizeCache(limit)
 }
 
 // InternedExprs reports how many symbolic expressions the module's own
@@ -215,64 +193,51 @@ func (h *Handle) Lookup(fn, name string) (*ir.Value, error) {
 // NewChain builds the service's analysis stack over one verified module:
 // rbaa's construction runs the bootstrap range analysis and the GR/LR
 // pointer analyses; scevaa, basicaa and the andersen points-to oracle
-// complete the chain, combined LLVM-AAResults-style by an alias.Manager
-// with the default memo cache (service clients re-query pairs, unlike the
-// one-shot experiment sweeps).
-func NewChain(m *ir.Module) *alias.Manager {
-	return NewChainOpts(m, alias.ManagerOptions{})
-}
-
-// NewChainOpts is NewChain with explicit manager options (the service
-// threads its configured memo-cache limit through here). Symbolic
-// expressions land in the process-wide Default interner.
-func NewChainOpts(m *ir.Module, opts alias.ManagerOptions) *alias.Manager {
-	return NewChainIn(m, opts, nil)
-}
-
-// NewChainIn is NewChainOpts with an explicit interner for the symbolic
-// expressions the pointer analyses mint (nil: the Default interner).
-// runBuild passes a fresh per-module interner so a module's expressions die
-// with its handle instead of accreting in the process-wide table — the
-// ROADMAP memory-governance item. The index and planner only see
-// expressions minted by the chain, so shape identity (pointer equality of
-// interned exprs) stays consistent within the module.
-func NewChainIn(m *ir.Module, opts alias.ManagerOptions, in *symbolic.Interner) *alias.Manager {
-	return alias.NewManager(opts,
+// complete the chain, combined LLVM-AAResults-style by an alias.Manager.
+// The symbolic expressions the pointer analyses mint land in in (nil: the
+// Default interner). runBuild passes a fresh per-module interner so a
+// module's expressions die with its handle instead of accreting in the
+// process-wide table; the index and planner only see expressions minted
+// by the chain, so shape identity (pointer equality of interned exprs)
+// stays consistent within the module.
+func NewChain(m *ir.Module, in *symbolic.Interner) *alias.Manager {
+	return alias.NewManager(alias.ManagerOptions{},
 		scevaa.New(m), basicaa.New(m), rbaa.New(m, pointer.Options{Interner: in}), andersen.Analyze(m))
 }
 
-// estimateMem approximates a built handle's resident cost from the module
-// shape: source text, IR values/instructions with their use lists, the
-// per-function analysis rows, and the value index. Deliberately coarse —
-// the number feeds capacity dashboards, not an allocator.
-func estimateMem(srcLen int, st ir.Stats) int64 {
-	const (
-		perInstr   = 160 // ir.Value + operand/use slices
-		perPointer = 96  // analysis rows (ranges, points-to sets)
-		perBlock   = 120
-		perFunc    = 512
-	)
-	return int64(srcLen) +
-		int64(st.Instrs)*perInstr +
-		int64(st.Pointers)*perPointer +
-		int64(st.Blocks)*perBlock +
-		int64(st.Funcs)*perFunc
+// Resident-cost model of a built handle, in bytes, measured on Fig. 15
+// modules of 349 to 95k instructions. irPerInstr is the live heap that
+// parsing and verifying leave per instruction (values, operand and use
+// lists, blocks and functions amortized); perValue is one entry of the
+// per-function name → value maps, table slack included; exprNodeCost is
+// one hash-consed symbolic expression (the Expr node, its term/arg slices
+// and its share of the intern table).
+const (
+	irPerInstr   = 274
+	perValue     = 49
+	exprNodeCost = 208
+)
+
+// estimateMem approximates a built handle's resident cost from what it
+// keeps: the source text (the parser's names are substrings of it, so it
+// stays live), the IR, the value maps, the compiled index and the
+// module's interned expressions. Deliberately coarse — the number feeds
+// capacity dashboards and the budget governor, not an allocator.
+func estimateMem(srcLen int, st ir.Stats, values int, ix *alias.Index, exprs int64) int64 {
+	return int64(srcLen) + int64(st.Instrs)*irPerInstr + int64(values)*perValue +
+		ix.MemBytes() + exprs*exprNodeCost
 }
 
-// exprNodeCost approximates one hash-consed symbolic expression node (the
-// Expr struct, its term/arg slices and the intern-table bucket share).
-const exprNodeCost = 128
-
-// runBuild runs the parse/verify/analyze chain and fills the built fields
-// on success — including, unless withIndex is false, the compiled alias
-// index and its batch planner. reuse, when non-nil, serves isolated
-// functions whose printed text matches a previous build zero-copy (see
-// alias.BuildIndexCached) — the content-addressed incremental-build path a
-// re-upload or a recovery replay of a mostly-unchanged module takes. It
-// does NOT publish a state transition — the caller decides (Build for
-// standalone handles, Registry.Finish for async builds, where promotion
-// into the module table and the Ready transition must agree).
-func (h *Handle) runBuild(src string, maxSourceBytes int, opts alias.ManagerOptions, withIndex bool, reuse *alias.IndexCache) error {
+// runBuild runs the parse/verify/analyze chain, compiles the alias index
+// from it and fills the built fields on success; the chain itself is
+// dropped once the index holds its verdicts. reuse, when non-nil, serves
+// isolated functions whose printed text matches a previous build zero-copy
+// (see alias.BuildIndexCached) — the content-addressed incremental-build
+// path a re-upload or a recovery replay of a mostly-unchanged module
+// takes. It does NOT publish a state transition — the caller decides
+// (Build for standalone handles, Registry.Finish for async builds, where
+// promotion into the module table and the Ready transition must agree).
+func (h *Handle) runBuild(src string, maxSourceBytes int, reuse *alias.IndexCache) error {
 	if maxSourceBytes > 0 && len(src) > maxSourceBytes {
 		return fmt.Errorf("source is %d bytes, exceeding the %d-byte limit", len(src), maxSourceBytes)
 	}
@@ -295,36 +260,28 @@ func (h *Handle) runBuild(src string, maxSourceBytes int, opts alias.ManagerOpti
 	// A fresh interner per module: every symbolic expression the chain
 	// mints below is owned by this handle and reclaimed at teardown.
 	in := symbolic.NewInterner()
-	mgr := NewChainIn(m, opts, in)
-	var indexBytes int64
-	var ix *alias.Index
-	if withIndex {
-		var reused int
-		if ix, reused = alias.BuildIndexCached(mgr, m, reuse); ix != nil {
-			mgr.AttachIndex(ix)
-			indexBytes = ix.MemBytes()
-			h.FuncsReused = reused
-		}
+	ix, reused := alias.BuildIndexCached(NewChain(m, in), m, reuse)
+	if ix == nil {
+		return fmt.Errorf("analyze: the alias chain did not compile to an index")
 	}
 	h.Mod = m
-	h.Snap = mgr.Snapshot()
-	h.wire = newWireNames(h.Name, h.Snap)
-	if ix != nil {
-		h.Planner = alias.NewPlanner(h.Snap, ix)
-	}
+	h.Planner = alias.NewPlanner(ix)
+	h.wire = newWireNames(h.Name, ix)
+	h.FuncsReused = reused
 	h.IRStats = m.Stats()
 	h.PairQueries = alias.NumQueries(m)
 	h.values = map[string]map[string]*ir.Value{}
+	values := 0
 	for _, f := range m.Funcs {
 		vals := make(map[string]*ir.Value, len(f.Params))
 		for _, v := range f.Values() {
 			vals[v.Name] = v
 		}
 		h.values[f.Name] = vals
+		values += len(vals)
 	}
 	h.interner = in
-	h.mgr = mgr
-	h.memBytes = estimateMem(len(src), h.IRStats) + indexBytes + in.Stats().Interned*exprNodeCost
+	h.memBytes = estimateMem(len(src), h.IRStats, values, ix, in.Stats().Interned)
 	return nil
 }
 
@@ -341,14 +298,13 @@ func (h *Handle) fail(err error) {
 // alias index and planner — and transitions the handle to Ready or Failed.
 // The returned error (also recorded on the handle) is safe to echo to
 // clients.
-func (h *Handle) Build(src string, maxSourceBytes int, opts alias.ManagerOptions) error {
-	return h.build(src, maxSourceBytes, opts, true, nil)
+func (h *Handle) Build(src string, maxSourceBytes int) error {
+	return h.build(src, maxSourceBytes, nil)
 }
 
-// build is Build with the index compile switchable (the service threads
-// Config.DisablePlanner through here) and the reuse cache pluggable.
-func (h *Handle) build(src string, maxSourceBytes int, opts alias.ManagerOptions, withIndex bool, reuse *alias.IndexCache) error {
-	if err := h.runBuild(src, maxSourceBytes, opts, withIndex, reuse); err != nil {
+// build is Build with the reuse cache pluggable.
+func (h *Handle) build(src string, maxSourceBytes int, reuse *alias.IndexCache) error {
+	if err := h.runBuild(src, maxSourceBytes, reuse); err != nil {
 		h.fail(err)
 		return err
 	}
@@ -361,7 +317,7 @@ func (h *Handle) build(src string, maxSourceBytes int, opts alias.ManagerOptions
 // error is safe to echo to clients.
 func BuildHandle(name, format, src string, maxSourceBytes int) (*Handle, error) {
 	h := NewPending(name, format)
-	if err := h.Build(src, maxSourceBytes, alias.ManagerOptions{}); err != nil {
+	if err := h.Build(src, maxSourceBytes); err != nil {
 		return nil, err
 	}
 	return h, nil

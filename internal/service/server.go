@@ -47,7 +47,7 @@ func moduleInfo(h *Handle) ModuleInfo {
 	}
 	switch state {
 	case StateReady:
-		info.Chain = h.Snap.Name()
+		info.Chain = h.Planner.Index().Name()
 		info.Funcs = h.IRStats.Funcs
 		info.Blocks = h.IRStats.Blocks
 		info.Instrs = h.IRStats.Instrs
@@ -93,59 +93,37 @@ type SpanEcho struct {
 	DurationUS float64 `json:"duration_us"`
 }
 
-// MemberStats is one chain member's counters in /v1/stats.
-type MemberStats struct {
-	Name      string           `json:"name"`
-	NoAlias   int64            `json:"noalias"`
-	FirstWins int64            `json:"first_wins"`
-	Details   map[string]int64 `json:"details,omitempty"`
-}
-
 // PlannerCounters is one module's batch-planner section in /v1/stats: how
 // many batches were swept, how the answered pairs split between the three
-// paths (sweep short-circuit, compiled index, legacy fallback), and the
-// no-alias counts per path. Pairs always equals SweepNoAlias + IndexPairs +
-// FallbackPairs, and FallbackPairs is exactly the share that reached the
-// Manager's Queries counter — the reconciliation CI asserts.
+// paths (sweep short-circuit, compiled index, fallback outside the index),
+// and the no-alias counts of the first two. Pairs always equals
+// SweepNoAlias + IndexPairs + FallbackPairs; a fallback pair is answered
+// may-alias, and the validate stage admits none.
 type PlannerCounters struct {
-	Batches         int64   `json:"batches"`
-	PlannedValues   int64   `json:"planned_values"`
-	Groups          int64   `json:"groups"`
-	Pairs           int64   `json:"pairs"`
-	SweepNoAlias    int64   `json:"sweep_noalias"`
-	IndexPairs      int64   `json:"index_pairs"`
-	IndexNoAlias    int64   `json:"index_noalias"`
-	FallbackPairs   int64   `json:"fallback_pairs"`
-	FallbackNoAlias int64   `json:"fallback_noalias"`
-	FallbackRate    float64 `json:"fallback_rate"`
+	Batches       int64   `json:"batches"`
+	PlannedValues int64   `json:"planned_values"`
+	Groups        int64   `json:"groups"`
+	Pairs         int64   `json:"pairs"`
+	SweepNoAlias  int64   `json:"sweep_noalias"`
+	IndexPairs    int64   `json:"index_pairs"`
+	IndexNoAlias  int64   `json:"index_noalias"`
+	FallbackPairs int64   `json:"fallback_pairs"`
+	FallbackRate  float64 `json:"fallback_rate"`
 }
 
-// ModuleStats is one module's live counters in /v1/stats. Counter fields
-// are present only for ready modules; building/failed rows carry the
-// lifecycle fields.
+// ModuleStats is one module's live counters in /v1/stats. Chain, MemBytes
+// and Planner are present only for ready modules; building/failed rows
+// carry the lifecycle fields.
 type ModuleStats struct {
-	Name         string  `json:"name"`
-	Status       string  `json:"status"`
-	Error        string  `json:"error,omitempty"`
-	Chain        string  `json:"chain,omitempty"`
-	Queries      int64   `json:"queries"`
-	CacheHits    int64   `json:"cache_hits"`
-	CacheMisses  int64   `json:"cache_misses"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
-	Computed     int64   `json:"computed"`
-	NoAlias      int64   `json:"noalias"`
-	// Cached and Evictions describe the module's verdict memo cache: live
-	// entries and entries displaced under churn past the cache limit.
-	Cached    int64 `json:"cached"`
-	Evictions int64 `json:"evictions"`
-	// MemBytes approximates the module's resident memory: the built IR and
-	// analysis structures, the compiled alias index, the symbolic
-	// expressions the build interned, plus the live memo-cache entries.
-	MemBytes int64         `json:"approx_mem_bytes,omitempty"`
-	Members  []MemberStats `json:"members,omitempty"`
-	// Planner carries the batch-planner counters; absent when planning is
-	// disabled. Manager counters above cover only the fallback share then.
-	Planner *PlannerCounters `json:"planner,omitempty"`
+	Name   string `json:"name"`
+	Status string `json:"status"`
+	Error  string `json:"error,omitempty"`
+	Chain  string `json:"chain,omitempty"`
+	// MemBytes approximates the module's resident memory: the source text,
+	// the built IR and value maps, the compiled alias index and the
+	// symbolic expressions the build interned.
+	MemBytes int64            `json:"approx_mem_bytes,omitempty"`
+	Planner  *PlannerCounters `json:"planner,omitempty"`
 }
 
 // BudgetStats is the memory-budget and backpressure section of /v1/stats.
@@ -168,13 +146,11 @@ type BudgetStats struct {
 	// Sheds counts rejected requests by reason (the label set of
 	// aliasd_shed_requests_total).
 	Sheds map[string]int64 `json:"sheds"`
-	// CacheShrinks counts per-module memo-cache shrink operations the
-	// governor applied; Evictions counts modules it force-evicted.
-	CacheShrinks int64 `json:"cache_shrinks"`
-	Evictions    int64 `json:"evictions"`
-	Draining     bool  `json:"draining"`
-	Drains       int64 `json:"drains"`
-	InFlight     int64 `json:"in_flight"`
+	// Evictions counts modules the governor force-evicted.
+	Evictions int64 `json:"evictions"`
+	Draining  bool  `json:"draining"`
+	Drains    int64 `json:"drains"`
+	InFlight  int64 `json:"in_flight"`
 }
 
 // StoreStats is the persistence section of /v1/stats, present only when
@@ -408,7 +384,7 @@ func (s *Service) handleCreateModule(w http.ResponseWriter, r *http.Request) {
 		h := NewPending(name, format)
 		buildStart := time.Now()
 		s.injectBuild(name)
-		err := h.build(string(src), s.cfg.MaxSourceBytes, s.managerOptions(), !s.cfg.DisablePlanner, s.reuse)
+		err := h.build(string(src), s.cfg.MaxSourceBytes, s.reuse)
 		s.observeBuild(name, "sync", buildStart, err)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
@@ -462,7 +438,7 @@ func (s *Service) handleCreateModule(w http.ResponseWriter, r *http.Request) {
 		defer h.Release()
 		buildStart := time.Now()
 		s.injectBuild(h.Name)
-		err := h.runBuild(string(src), s.cfg.MaxSourceBytes, s.managerOptions(), !s.cfg.DisablePlanner, s.reuse)
+		err := h.runBuild(string(src), s.cfg.MaxSourceBytes, s.reuse)
 		s.observeBuild(h.Name, "async", buildStart, err)
 		s.reg.Finish(h, err)
 		if err == nil && h.State() == StateReady {
@@ -706,10 +682,6 @@ func (s *Service) observeBuild(name, mode string, start time.Time, err error) {
 	}
 }
 
-// memoEntryCost approximates one live memo-cache entry (key, verdict,
-// intrusive-list links, map bucket share) for the stats memory accounting.
-const memoEntryCost = 112
-
 // budgetStats renders the budget/backpressure section from the same
 // atomics the metric collectors read.
 func (s *Service) budgetStats() BudgetStats {
@@ -739,11 +711,10 @@ func (s *Service) budgetStats() BudgetStats {
 			"upload_draining":   s.sheds.uploadDraining.Load(),
 			"upload_recovering": s.sheds.uploadRecovering.Load(),
 		},
-		CacheShrinks: s.cacheShrinks.Load(),
-		Evictions:    s.budgetEvictions.Load(),
-		Draining:     s.draining.Load(),
-		Drains:       s.drains.Load(),
-		InFlight:     s.inflight.Load(),
+		Evictions: s.budgetEvictions.Load(),
+		Draining:  s.draining.Load(),
+		Drains:    s.drains.Load(),
+		InFlight:  s.inflight.Load(),
 	}
 }
 
@@ -789,38 +760,19 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		case StateFailed:
 			ms.Error = h.Err()
 		case StateReady:
-			st := h.Snap.Stats()
-			ms.Chain = h.Snap.Name()
-			ms.Queries = st.Queries
-			ms.CacheHits = st.CacheHits
-			ms.CacheMisses = st.Misses
-			ms.CacheHitRate = st.CacheHitRate()
-			ms.Computed = st.Computed
-			ms.NoAlias = st.NoAlias
-			ms.Cached = st.Cached
-			ms.Evictions = st.Evictions
-			ms.MemBytes = h.MemBytes() + st.Cached*memoEntryCost
-			for _, m := range st.Members {
-				mem := MemberStats{Name: m.Name, NoAlias: m.NoAlias, FirstWins: m.FirstWins}
-				if len(m.Details) > 0 {
-					mem.Details = m.Details
-				}
-				ms.Members = append(ms.Members, mem)
-			}
-			if h.Planner != nil {
-				ps := h.Planner.Stats()
-				ms.Planner = &PlannerCounters{
-					Batches:         ps.Batches,
-					PlannedValues:   ps.PlannedValues,
-					Groups:          ps.Groups,
-					Pairs:           ps.Pairs,
-					SweepNoAlias:    ps.SweepNoAlias,
-					IndexPairs:      ps.IndexPairs,
-					IndexNoAlias:    ps.IndexNoAlias,
-					FallbackPairs:   ps.FallbackPairs,
-					FallbackNoAlias: ps.FallbackNoAlias,
-					FallbackRate:    ps.FallbackRate(),
-				}
+			ps := h.Planner.Stats()
+			ms.Chain = h.Planner.Index().Name()
+			ms.MemBytes = h.MemBytes()
+			ms.Planner = &PlannerCounters{
+				Batches:       ps.Batches,
+				PlannedValues: ps.PlannedValues,
+				Groups:        ps.Groups,
+				Pairs:         ps.Pairs,
+				SweepNoAlias:  ps.SweepNoAlias,
+				IndexPairs:    ps.IndexPairs,
+				IndexNoAlias:  ps.IndexNoAlias,
+				FallbackPairs: ps.FallbackPairs,
+				FallbackRate:  ps.FallbackRate(),
 			}
 		}
 		resp.Modules = append(resp.Modules, ms)

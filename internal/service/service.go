@@ -8,10 +8,10 @@
 // lowered through the existing frontend) to /v1/modules. The service parses
 // and verifies the program once, runs the full per-function analysis stack —
 // range analysis feeding scevaa, basicaa, rbaa and the andersen points-to
-// oracle, chained behind an alias.Manager — and keeps the result behind a
-// read-only alias.Snapshot handle in a bounded Registry. Construction cost
-// is paid once per module; queries against the snapshot are lock-free reads
-// plus the manager's memo cache.
+// oracle, chained behind an alias.Manager — compiles the chain into a frozen
+// alias.Index, drops the chain, and keeps the index behind an
+// alias.Planner in a bounded Registry. Construction cost is paid once per
+// module; queries are lock-free reads of the index's columns.
 //
 // Queries are batched: one POST to /v1/query carries up to Config.MaxBatch
 // pairs, each naming two values of one function ("func", "a", "b"). A batch
@@ -23,17 +23,17 @@
 // Decoding and validation happen on the request goroutine; resolved pairs
 // are sharded by function (queries of one function touch the same analysis
 // rows, so a shard is a locality unit), each shard is swept into an
-// alias.Plan over the module's compiled index (unless the planner is
-// disabled — see alias.Planner for the sweep-line partition and its
-// fallback contract), shards are cut into chunks by the same internal/pool
-// machinery that drives the experiment sweeps, chunks fan out across a
-// bounded worker pool, and the aggregate stage reassembles results in
-// request order — responses are therefore byte-identical to a sequential
-// evaluation of the same batch.
+// alias.Plan over the module's compiled index (see alias.Planner for the
+// sweep-line partition and its answer contract), shards are cut into
+// chunks by the same internal/pool machinery that drives the experiment
+// sweeps, chunks fan out across a bounded worker pool, and the aggregate
+// stage reassembles results in request order — responses are therefore
+// byte-identical to a sequential evaluation of the same batch.
 //
-// /v1/stats reports the per-analysis no-alias and attribution counters plus
-// cache hit rates of every registered module (the live, service-side view
-// of the paper's Fig. 13/14 numbers); /healthz is a cheap liveness probe.
+// /v1/stats reports every registered module's chain, approximate memory
+// and planner counters (pairs answered by the sweep, by the index, and the
+// fallback share the index could not answer); /healthz is a cheap liveness
+// probe.
 //
 // # Module lifecycle
 //
@@ -61,7 +61,7 @@
 //	GET    /v1/modules/{name}    one module's summary + build status
 //	DELETE /v1/modules/{name}    drop a module (in-flight batches finish first)
 //	POST   /v1/query             batched alias queries
-//	GET    /v1/stats             per-module counters, cache hit/eviction rates, memory
+//	GET    /v1/stats             per-module planner counters and memory, budget, store
 package service
 
 import (
@@ -107,18 +107,9 @@ type Config struct {
 	// Parallel sizes the query-stage worker pool: 0 or 1 sequential,
 	// negative GOMAXPROCS.
 	Parallel int
-	// CacheLimit bounds each module's verdict memo cache (entries): 0 uses
-	// the alias-package default, negative disables caching.
-	CacheLimit int
 	// EvictModules makes a full registry evict its least-recently-queried
 	// module (preferring unpinned ones) instead of refusing the upload.
 	EvictModules bool
-	// DisablePlanner skips compiling the per-module alias index and routes
-	// every batch through the legacy Manager chain. The planner is on by
-	// default; this is the differential/bench escape hatch (aliasd
-	// -planner=false) and the way to keep full per-member attribution on
-	// sweep-separable pairs.
-	DisablePlanner bool
 	// BuildWorkers sizes the async-build queue (0 = DefaultBuildWorkers).
 	BuildWorkers int
 	// BuildBacklog bounds async builds queued behind the workers (0 =
@@ -128,10 +119,10 @@ type Config struct {
 	// DefaultMaxBatchBytes). Oversized bodies get a structured 413.
 	MaxBatchBytes int64
 	// MemBudget caps approximate process memory in bytes; 0 disables the
-	// budget entirely. Crossing the soft watermark shrinks memo caches and
-	// evicts unpinned LRU modules; crossing the hard watermark additionally
-	// rejects uploads (429) and tightens query admission (503). Both
-	// rejections carry Retry-After.
+	// budget entirely. Crossing the soft watermark evicts unpinned LRU
+	// modules; crossing the hard watermark additionally rejects uploads
+	// (429) and tightens query admission (503). Both rejections carry
+	// Retry-After.
 	MemBudget int64
 	// BudgetOptions tunes the watermark fractions and (for tests) the heap
 	// probe. Zero value = budget package defaults.
@@ -226,25 +217,18 @@ type Service struct {
 	govStop   chan struct{}
 	govWG     sync.WaitGroup
 	closeOnce sync.Once
-	// fullCacheLimit is the resolved per-module memo bound the governor
-	// restores after degradation (Config.CacheLimit with the alias-package
-	// default applied; ≤ 0 means caching is off and resizing is moot).
-	fullCacheLimit int
-	// degraded marks that memo caches are currently shrunk.
-	degraded atomic.Bool
 	// lastGC is the unix-nano time of the governor's last forced GC.
 	lastGC atomic.Int64
 
 	// inflight counts admitted /v1/query batches; draining flips every
-	// admission path to shedding. sheds, drains, budgetEvictions and
-	// cacheShrinks are the single source both /metrics and /v1/stats
-	// render, which is what keeps the reconciliation exact.
+	// admission path to shedding. sheds, drains and budgetEvictions are the
+	// single source both /metrics and /v1/stats render, which is what keeps
+	// the reconciliation exact.
 	inflight        atomic.Int64
 	draining        atomic.Bool
 	sheds           shedCounters
 	drains          atomic.Int64
 	budgetEvictions atomic.Int64
-	cacheShrinks    atomic.Int64
 }
 
 // shedCounters tallies load-shedding rejections by reason — the label set
@@ -283,10 +267,6 @@ func New(cfg Config) *Service {
 		// The chaos seam for crash-after-write: every completed persist step
 		// reports through the injector, which may hard-exit the process.
 		s.store.WriteHook = func(step string) { s.injectStoreWrite(step) }
-	}
-	s.fullCacheLimit = cfg.CacheLimit
-	if s.fullCacheLimit == 0 {
-		s.fullCacheLimit = alias.DefaultCacheLimit
 	}
 	s.metrics = newMetrics(s)
 	// Set before the first Submit: the channel send inside Submit is the
@@ -366,12 +346,6 @@ func (s *Service) Drain(ctx context.Context) error {
 
 // InFlight reports the number of currently admitted /v1/query batches.
 func (s *Service) InFlight() int64 { return s.inflight.Load() }
-
-// managerOptions threads the configured memo-cache bound into each
-// module's analysis chain.
-func (s *Service) managerOptions() alias.ManagerOptions {
-	return alias.ManagerOptions{CacheLimit: s.cfg.CacheLimit}
-}
 
 // Registry returns the service's module registry (used by tests and by
 // embedders that preload modules).

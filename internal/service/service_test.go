@@ -10,12 +10,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/alias"
+	"repro/internal/benchgen"
 	"repro/internal/frontend/minic"
 	"repro/internal/ir"
 )
@@ -69,154 +72,120 @@ func namedPairs(m *ir.Module) []Pair {
 	return out
 }
 
-// TestBatchedResponseByteIdenticalToDirectManager is the legacy path's
-// golden test: with the planner disabled, for every pair of the Fig. 1
-// module the /v1/query response body must be byte-for-byte what encoding
-// the verdicts of a directly constructed alias.Manager produces.
-func TestBatchedResponseByteIdenticalToDirectManager(t *testing.T) {
-	src := fig1Source(t)
-
-	// Direct path: compile + analyze in-process, no service involved.
-	direct, err := minic.Compile("fig1", src)
-	if err != nil {
-		t.Fatalf("compiling fig1: %v", err)
-	}
-	snap := NewChain(direct).Snapshot()
-	pairs := namedPairs(direct)
-	if len(pairs) == 0 {
-		t.Fatal("fig1 yields no pair queries")
-	}
-	want := QueryResponse{Module: "fig1"}
-	for _, pr := range pairs {
-		f := direct.Func(pr.Func)
-		var p, q *ir.Value
-		for _, v := range f.Values() {
-			if v.Name == pr.A {
-				p = v
-			}
-			if v.Name == pr.B {
-				q = v
-			}
-		}
-		res := encodeVerdict(snap, snap.Evaluate(p, q))
-		want.Results = append(want.Results, res)
-		if res.Result == "no-alias" {
-			want.NoAlias++
-		}
-	}
-	wantBytes, err := json.Marshal(want)
-	if err != nil {
-		t.Fatalf("marshal expected: %v", err)
-	}
-	wantBytes = append(wantBytes, '\n')
-
-	// Service path: upload the same source, query the same pairs. The
-	// planner is disabled so every pair walks the chain — the byte-golden
-	// contract covers the fallback path the planner defers to.
-	_, ts := startServer(t, Config{Parallel: 4, DisablePlanner: true})
-	resp := postModule(t, ts, "fig1", "minic", src)
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("module upload: %d %s", resp.StatusCode, body(t, resp))
-	}
-	body(t, resp)
-
-	reqBody, _ := json.Marshal(QueryRequest{Module: "fig1", Pairs: pairs})
-	qresp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(reqBody))
-	if err != nil {
-		t.Fatalf("POST /v1/query: %v", err)
-	}
-	if qresp.StatusCode != http.StatusOK {
-		t.Fatalf("query: %d %s", qresp.StatusCode, body(t, qresp))
-	}
-	got := body(t, qresp)
-	if !bytes.Equal(got, wantBytes) {
-		t.Fatalf("service response differs from direct manager encoding\n got: %s\nwant: %s", got, wantBytes)
-	}
-	if want.NoAlias == 0 {
-		t.Fatal("fig1 produced no no-alias answers; golden test is vacuous")
-	}
-}
-
-// TestPlannerResponseMatchesManagerResults is the planner path's
-// differential golden: with the planner on (the default), every pair's
-// Result and the aggregate no-alias count must equal the legacy chain's.
-// Attribution on sweep-answered pairs is credited to rbaa (whose range
-// digests justify the partition) with a genuine Fig. 14 reason — the
-// documented contract — so Resolved/Provers are checked for coherence, not
-// byte equality.
+// TestPlannerResponseMatchesManagerResults is the service's differential
+// golden: for Fig. 1 and every Fig. 13 program, a batch of every pair
+// answered by the daemon must agree with a separately built Manager chain.
+// Every Result must equal the oracle's; pairs the compiled index answered
+// must carry the oracle's provers, attribution and detail exactly; pairs
+// the sweep answered are credited to rbaa alone with the Fig. 14 reason
+// rbaa itself reports — the documented planner contract. After every pair
+// has been asked, no module may report a pair that fell outside its index.
 func TestPlannerResponseMatchesManagerResults(t *testing.T) {
-	src := fig1Source(t)
-	direct, err := minic.Compile("fig1", src)
-	if err != nil {
-		t.Fatalf("compiling fig1: %v", err)
+	type module struct {
+		name, format, src string
 	}
-	snap := NewChain(direct).Snapshot()
-	pairs := namedPairs(direct)
+	mods := []module{{"fig1", "minic", fig1Source(t)}}
+	for _, c := range benchgen.Fig13Configs() {
+		mods = append(mods, module{c.Name, "ir", benchgen.Generate(c).String()})
+	}
+	_, ts := startServer(t, Config{Parallel: 4})
+	sweepPairs, indexPairs := 0, 0
+	for _, mod := range mods {
+		resp := postModule(t, ts, mod.name, mod.format, mod.src)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("%s upload: %d %s", mod.name, resp.StatusCode, body(t, resp))
+		}
+		body(t, resp)
+		// The oracle runs over its own copy of the module, built apart
+		// from the service.
+		h, err := BuildHandle(mod.name, mod.format, mod.src, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", mod.name, err)
+		}
+		direct := h.Mod
+		oracle := NewChain(direct, nil)
+		pairs := namedPairs(direct)
 
-	s, ts := startServer(t, Config{Parallel: 4})
-	resp := postModule(t, ts, "fig1", "minic", src)
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("module upload: %d %s", resp.StatusCode, body(t, resp))
+		reqBody, _ := json.Marshal(QueryRequest{Module: mod.name, Pairs: pairs})
+		qresp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(reqBody))
+		if err != nil {
+			t.Fatalf("%s: POST /v1/query: %v", mod.name, err)
+		}
+		var qr QueryResponse
+		if err := json.Unmarshal(body(t, qresp), &qr); err != nil {
+			t.Fatal(err)
+		}
+		if len(qr.Results) != len(pairs) {
+			t.Fatalf("%s: %d results for %d pairs", mod.name, len(qr.Results), len(pairs))
+		}
+
+		// Replay the service's plans on the oracle's copy to learn which
+		// pairs the sweep answered: a shard is one function's pairs in
+		// request order, and a plan depends only on its set of values.
+		ix := h.Planner.Index()
+		if ix.Name() != oracle.Name() {
+			t.Fatalf("%s: index chain %q, oracle %q", mod.name, ix.Name(), oracle.Name())
+		}
+		vals := map[string][]*ir.Value{}
+		for _, pr := range pairs {
+			p, _ := h.Lookup(pr.Func, pr.A)
+			q, _ := h.Lookup(pr.Func, pr.B)
+			vals[pr.Func] = append(vals[pr.Func], p, q)
+		}
+		plans := map[string]*alias.Plan{}
+		for fn, vs := range vals {
+			plans[fn] = alias.NewPlanner(ix).Plan(vs)
+		}
+		wantNoAlias := 0
+		for i, pr := range pairs {
+			p, _ := h.Lookup(pr.Func, pr.A)
+			q, _ := h.Lookup(pr.Func, pr.B)
+			want := encodeVerdict(ix, oracle.Evaluate(p, q))
+			got := qr.Results[i]
+			if got.Result != want.Result {
+				t.Fatalf("%s pair %d (%s,%s): service %q, manager %q", mod.name, i, pr.A, pr.B, got.Result, want.Result)
+			}
+			if want.Result == "no-alias" {
+				wantNoAlias++
+			}
+			var tally alias.PlanTally
+			plans[pr.Func].Evaluate(p, q, &tally)
+			if tally.SweepNoAlias == 0 {
+				indexPairs++
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s pair %d (%s,%s): index answer %+v, manager %+v", mod.name, i, pr.A, pr.B, got, want)
+				}
+				continue
+			}
+			sweepPairs++
+			if got.Resolved != "rbaa" || !reflect.DeepEqual(got.Provers, []string{"rbaa"}) ||
+				got.Detail != want.Detail || !slices.Contains(want.Provers, "rbaa") {
+				t.Fatalf("%s pair %d (%s,%s): sweep answer %+v, manager %+v", mod.name, i, pr.A, pr.B, got, want)
+			}
+		}
+		if qr.NoAlias != wantNoAlias {
+			t.Fatalf("%s: noalias = %d, want %d", mod.name, qr.NoAlias, wantNoAlias)
+		}
 	}
-	body(t, resp)
-	reqBody, _ := json.Marshal(QueryRequest{Module: "fig1", Pairs: pairs})
-	qresp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(reqBody))
+	if sweepPairs == 0 || indexPairs == 0 {
+		t.Fatalf("sweep answered %d pairs, index %d: one path went untested", sweepPairs, indexPairs)
+	}
+
+	sresp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
-		t.Fatalf("POST /v1/query: %v", err)
-	}
-	var qr QueryResponse
-	if err := json.Unmarshal(body(t, qresp), &qr); err != nil {
 		t.Fatal(err)
 	}
-	if len(qr.Results) != len(pairs) {
-		t.Fatalf("%d results for %d pairs", len(qr.Results), len(pairs))
+	var stats StatsResponse
+	if err := json.Unmarshal(body(t, sresp), &stats); err != nil {
+		t.Fatal(err)
 	}
-	wantNoAlias := 0
-	for i, pr := range pairs {
-		f := direct.Func(pr.Func)
-		var p, q *ir.Value
-		for _, v := range f.Values() {
-			if v.Name == pr.A {
-				p = v
-			}
-			if v.Name == pr.B {
-				q = v
-			}
+	if len(stats.Modules) != len(mods) {
+		t.Fatalf("stats lists %d modules, want %d", len(stats.Modules), len(mods))
+	}
+	for _, ms := range stats.Modules {
+		if ms.Planner == nil || ms.Planner.Pairs == 0 || ms.Planner.FallbackPairs != 0 {
+			t.Errorf("%s: planner counters %+v, want pairs > 0 and fallback_pairs == 0", ms.Name, ms.Planner)
 		}
-		want := snap.Evaluate(p, q)
-		if qr.Results[i].Result != want.Result.String() {
-			t.Fatalf("pair %d (%s,%s): planner result %q, manager %q",
-				i, pr.A, pr.B, qr.Results[i].Result, want.Result)
-		}
-		if want.Result == alias.NoAlias {
-			wantNoAlias++
-			if qr.Results[i].Resolved == "" || len(qr.Results[i].Provers) == 0 {
-				t.Fatalf("pair %d: no-alias answer lacks attribution: %+v", i, qr.Results[i])
-			}
-		}
-	}
-	if qr.NoAlias != wantNoAlias || wantNoAlias == 0 {
-		t.Fatalf("noalias = %d, want %d (> 0)", qr.NoAlias, wantNoAlias)
-	}
-
-	// The planner actually planned: counters are visible and reconcile.
-	h, ok := s.Registry().Get("fig1")
-	if !ok {
-		t.Fatal("module vanished")
-	}
-	defer h.Release()
-	if h.Planner == nil {
-		t.Fatal("default config built no planner")
-	}
-	st := h.Planner.Stats()
-	if st.Pairs != int64(len(pairs)) {
-		t.Errorf("planner pairs = %d, want %d", st.Pairs, len(pairs))
-	}
-	if st.SweepNoAlias+st.IndexPairs+st.FallbackPairs != st.Pairs {
-		t.Errorf("planner tally does not reconcile: %+v", st)
-	}
-	if st.Groups == 0 {
-		t.Error("sweep formed no groups on fig1")
 	}
 }
 
@@ -254,86 +223,10 @@ func TestBatchOrderIndependence(t *testing.T) {
 	}
 }
 
-// TestStatsCountersAfterConcurrentBatches hammers one module from many
-// client goroutines and checks the /v1/stats totals reconcile: every issued
-// query is counted, computed+hits = queries, computed = distinct pairs.
-// Planner disabled: this test pins the Manager counter plumbing the planner
-// falls back to (the planner-on accounting is covered by
-// TestStatsPlannerCountersReconcile).
-func TestStatsCountersAfterConcurrentBatches(t *testing.T) {
-	src := fig1Source(t)
-	s, ts := startServer(t, Config{Parallel: 2, DisablePlanner: true})
-	resp := postModule(t, ts, "fig1", "minic", src)
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("upload: %d %s", resp.StatusCode, body(t, resp))
-	}
-	body(t, resp)
-
-	h, _ := s.Registry().Get("fig1")
-	defer h.Release()
-	pairs := namedPairs(h.Mod)
-	const clients = 8
-	const rounds = 3
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				reqBody, _ := json.Marshal(QueryRequest{Module: "fig1", Pairs: pairs})
-				resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(reqBody))
-				if err != nil {
-					t.Errorf("query: %v", err)
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-		}()
-	}
-	wg.Wait()
-
-	sresp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats StatsResponse
-	if err := json.Unmarshal(body(t, sresp), &stats); err != nil {
-		t.Fatal(err)
-	}
-	if len(stats.Modules) != 1 {
-		t.Fatalf("stats has %d modules, want 1", len(stats.Modules))
-	}
-	ms := stats.Modules[0]
-	wantQueries := int64(clients * rounds * len(pairs))
-	if ms.Queries != wantQueries {
-		t.Errorf("queries = %d, want %d", ms.Queries, wantQueries)
-	}
-	if ms.Computed != int64(len(pairs)) {
-		t.Errorf("computed = %d, want %d distinct pairs", ms.Computed, len(pairs))
-	}
-	if ms.CacheHits+ms.Computed != ms.Queries {
-		t.Errorf("cache_hits %d + computed %d != queries %d", ms.CacheHits, ms.Computed, ms.Queries)
-	}
-	if ms.CacheHitRate <= 0 {
-		t.Errorf("cache_hit_rate = %v, want > 0 after replays", ms.CacheHitRate)
-	}
-	if ms.NoAlias == 0 {
-		t.Error("noalias = 0, want > 0 on fig1")
-	}
-	if len(ms.Members) != 4 {
-		t.Fatalf("stats lists %d members, want 4 (scev, basic, rbaa, andersen)", len(ms.Members))
-	}
-	if ms.Members[2].Name != "rbaa" || len(ms.Members[2].Details) == 0 {
-		t.Errorf("rbaa member stats missing attribution details: %+v", ms.Members[2])
-	}
-}
-
 // TestStatsPlannerCountersReconcile drives concurrent batches through the
 // planner and checks the /v1/stats planner section: every issued pair is
-// tallied exactly once across the three paths, the fallback share equals
-// the Manager's query counter, and the per-path no-alias counts sum to the
-// responses' aggregate.
+// tallied exactly once across the three paths, none falls outside the
+// index, and the per-path no-alias counts sum to the responses' aggregate.
 func TestStatsPlannerCountersReconcile(t *testing.T) {
 	src := fig1Source(t)
 	_, ts := startServer(t, Config{Parallel: 2})
@@ -393,10 +286,10 @@ func TestStatsPlannerCountersReconcile(t *testing.T) {
 	if pc.SweepNoAlias+pc.IndexPairs+pc.FallbackPairs != pc.Pairs {
 		t.Errorf("planner paths do not sum to pairs: %+v", pc)
 	}
-	if pc.FallbackPairs != ms.Queries {
-		t.Errorf("fallback pairs %d != manager queries %d", pc.FallbackPairs, ms.Queries)
+	if pc.FallbackPairs != 0 {
+		t.Errorf("fallback pairs = %d, want 0", pc.FallbackPairs)
 	}
-	if got := pc.SweepNoAlias + pc.IndexNoAlias + pc.FallbackNoAlias; got != noAlias.Load() {
+	if got := pc.SweepNoAlias + pc.IndexNoAlias; got != noAlias.Load() {
 		t.Errorf("stats no-alias %d != responses' aggregate %d", got, noAlias.Load())
 	}
 	if pc.Groups == 0 || pc.PlannedValues == 0 || pc.Batches == 0 {
