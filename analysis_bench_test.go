@@ -11,9 +11,11 @@ import (
 	"repro/internal/pointer"
 )
 
-// Analysis-core benchmarks backing BENCH_analysis.json: end-to-end Manager
-// query cost (the service's per-query hot path) and module-build cost (the
-// service's upload/eviction-rebuild path), both with allocation accounting.
+// Analysis-core microbenchmarks, both with allocation accounting: the
+// uncached Manager query over the scev→basic→rbaa chain and one rbaa
+// module build. The daemon answers from the compiled index instead of the
+// Manager; aliasbench (its own module) is the end-to-end benchmark of the
+// service.
 
 // managerBench builds the scev→basic→rbaa chain over the espresso module;
 // every Evaluate measures member analysis work.

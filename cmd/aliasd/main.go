@@ -11,9 +11,8 @@
 //	                                   # bounded admission, per-batch deadline
 //	aliasd -chaos build-delay=50ms,alloc-spike=16MB,slow-client=5ms
 //	                                   # synthetic faults for robustness drills
-//	aliasd -data-dir /var/lib/aliasd -reuse-cache 64MB
-//	                                   # crash-safe module store, replayed on
-//	                                   # boot; cross-module index reuse
+//	aliasd -data-dir /var/lib/aliasd
+//	                                   # crash-safe module store, replayed on boot
 //	aliasd -debug-addr 127.0.0.1:8418 -log-level debug
 //	                                   # pprof/expvar sidecar + per-request logs
 //
@@ -205,7 +204,6 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "HTTP server keep-alive idle timeout")
 	chaosSpec := flag.String("chaos", "", "fault injection: comma-separated build-delay=<dur>, alloc-spike=<bytes>, slow-client=<dur>, crash-after-write=<n> (empty = off)")
 	dataDir := flag.String("data-dir", "", "crash-safe on-disk module store; modules persist across restarts and are replayed on boot (empty = in-memory only)")
-	reuseCache := flag.String("reuse-cache", "", "cross-module function-index reuse cache size, e.g. 64MB (empty = 32MB default, 0 disables)")
 	flag.Parse()
 
 	var level slog.Level
@@ -242,20 +240,6 @@ func main() {
 		logger.Warn("chaos injection enabled", "spec", *chaosSpec)
 	}
 
-	var reuseBytes int64
-	if *reuseCache != "" {
-		n, err := parseBytes(*reuseCache)
-		if err != nil {
-			logger.Error("bad -reuse-cache", "error", err)
-			os.Exit(1)
-		}
-		if n <= 0 {
-			reuseBytes = -1 // Config: negative disables, zero means default
-		} else {
-			reuseBytes = n
-		}
-	}
-
 	var st *store.Store
 	if *dataDir != "" {
 		st, err = store.Open(*dataDir)
@@ -268,20 +252,19 @@ func main() {
 	}
 
 	svc := service.New(service.Config{
-		MaxBatch:        *maxBatch,
-		MaxBatchBytes:   batchBytes,
-		MaxSourceBytes:  *maxSource,
-		MaxModules:      *maxModules,
-		Parallel:        *parallel,
-		EvictModules:    *evictModules,
-		BuildWorkers:    *buildWorkers,
-		MemBudget:       budgetBytes,
-		MaxInFlight:     *maxInFlight,
-		QueryTimeout:    *queryTimeout,
-		Chaos:           chaos,
-		Logger:          logger,
-		Store:           st,
-		ReuseCacheBytes: reuseBytes,
+		MaxBatch:       *maxBatch,
+		MaxBatchBytes:  batchBytes,
+		MaxSourceBytes: *maxSource,
+		MaxModules:     *maxModules,
+		Parallel:       *parallel,
+		EvictModules:   *evictModules,
+		BuildWorkers:   *buildWorkers,
+		MemBudget:      budgetBytes,
+		MaxInFlight:    *maxInFlight,
+		QueryTimeout:   *queryTimeout,
+		Chaos:          chaos,
+		Logger:         logger,
+		Store:          st,
 	})
 	defer svc.Close()
 

@@ -30,7 +30,6 @@ type restartReport struct {
 	RecoverySeconds   float64 `json:"recovery_seconds"`
 	StoreRecords      int     `json:"store_records"`
 	Quarantined       int64   `json:"quarantined"`
-	FunctionsReused   int64   `json:"functions_reused"`
 	// CountersReconcile: /v1/stats store figures equal the aliasd_store_*
 	// metric families on the restarted daemon.
 	CountersReconcile bool `json:"counters_reconcile"`
@@ -228,7 +227,6 @@ func runRestart(cfg loadConfig) error {
 	rr.RecoverySeconds = st.Store.RecoverySeconds
 	rr.StoreRecords = st.Store.Records
 	rr.Quarantined = st.Store.Quarantined
-	rr.FunctionsReused = st.Store.FunctionsReused
 	rr.CountersReconcile =
 		scrapeGauge(client, d2.base, "aliasd_store_records", nil) == float64(st.Store.Records) &&
 			scrapeGauge(client, d2.base, "aliasd_store_corrupt_quarantined_total", nil) == float64(st.Store.Quarantined) &&
@@ -236,8 +234,8 @@ func runRestart(cfg loadConfig) error {
 
 	fmt.Printf("aliasload[restart]: %d modules uploaded, %d churn uploads, killed -9, %d recovered\n",
 		rr.ModulesUploaded, rr.ChurnUploads, rr.ModulesRecovered)
-	fmt.Printf("  recovery:    %.4fs, %d store records, %d quarantined, %d functions reused\n",
-		rr.RecoverySeconds, rr.StoreRecords, rr.Quarantined, rr.FunctionsReused)
+	fmt.Printf("  recovery:    %.4fs, %d store records, %d quarantined\n",
+		rr.RecoverySeconds, rr.StoreRecords, rr.Quarantined)
 	fmt.Printf("  verdicts:    identical=%v  counters reconcile=%v\n", rr.VerdictsIdentical, rr.CountersReconcile)
 
 	if cfg.out != "" {

@@ -21,7 +21,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/benchgen"
@@ -34,31 +33,10 @@ func main() {
 	parallel := flag.Int("parallel", 1, "worker count for fig 13/14/ratio (-1 = GOMAXPROCS); fig 15 timing always runs sequentially")
 	xl := flag.Bool("xl", false, "append the extra-large (≥1.9M instruction) programs to Fig. 15")
 	asJSON := flag.Bool("json", false, "emit one machine-readable JSON report instead of text tables")
-	analysisBench := flag.Bool("analysis-bench", false, "run the analysis-core benchmark mode and emit the BENCH_analysis.json report (ignores -fig)")
-	out := flag.String("out", "", "write the -analysis-bench report to this file instead of stdout")
 	indexed := flag.Bool("indexed", true, "answer the precision sweeps through each module's compiled alias index (verdict-identical; false walks the chain per pair)")
 	flag.Parse()
 
 	d := &experiments.Driver{Parallel: *parallel, Indexed: *indexed}
-
-	if *analysisBench {
-		rep := d.RunAnalysisBench()
-		w := io.Writer(os.Stdout)
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchtables:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := experiments.WriteAnalysisJSON(w, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	needPrecision := *fig == "13" || *fig == "14" || *fig == "ratio" || *fig == "all"
 	var rows []experiments.PrecisionRow

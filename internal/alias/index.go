@@ -378,7 +378,32 @@ type Index struct {
 // manager's members must answer queries for m's values (the same
 // requirement Manager.Evaluate has); the index keeps none of them.
 func BuildIndex(mg *Manager, m *ir.Module) *Index {
-	ix, _ := BuildIndexCached(mg, m, nil)
+	for _, mem := range mg.members {
+		switch mem.(type) {
+		case RangeDigester, ClassDigester, SCEVDigester, SetDigester:
+		default:
+			return nil
+		}
+	}
+	ix := &Index{funcs: make(map[*ir.Func]*FuncIndex, len(m.Funcs)), label: mg.label,
+		names: make([]string, len(mg.members))}
+	for i, mem := range mg.members {
+		ix.names[i] = mem.Name()
+	}
+	for _, f := range m.Funcs {
+		var universe []*ir.Value
+		for _, v := range f.Values() {
+			if v.Typ == ir.TPtr {
+				universe = append(universe, v)
+			}
+		}
+		if len(universe) == 0 {
+			continue
+		}
+		fi := buildFuncIndex(mg, f, universe)
+		ix.funcs[f] = fi
+		ix.memBytes += fi.approxBytes()
+	}
 	return ix
 }
 

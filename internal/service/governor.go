@@ -18,16 +18,15 @@ const (
 )
 
 // sampleAccounted sums the service's own memory model: every ready
-// module's build estimate (IR, value maps, index, interned expressions),
-// the analysis-reuse cache's retained columns, and the on-disk store's
-// live bytes (recovery materializes every live record back into RAM, so
-// store growth is deferred memory the admission levers should see coming).
+// module's build estimate (IR, value maps, index, interned expressions)
+// and the on-disk store's live bytes (recovery materializes every live
+// record back into RAM, so store growth is deferred memory the admission
+// levers should see coming).
 func (s *Service) sampleAccounted() int64 {
 	var acc int64
 	s.eachReadyModule(func(h *Handle) {
 		acc += h.MemBytes()
 	})
-	acc += s.reuse.SizeBytes()
 	if s.store != nil {
 		acc += s.store.SizeBytes()
 	}

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 
@@ -46,4 +48,41 @@ func TestMemBytesTracksRetainedHeap(t *testing.T) {
 		runtime.KeepAlive(h)
 		runtime.KeepAlive(m)
 	}
+}
+
+// TestDeleteReleasesModuleMemory checks that a module's build creates
+// nothing that outlives the module: after the 22 Fig. 13 programs are
+// uploaded through the handler and every one is deleted again, the live
+// heap must be back within 1 MiB of where it stood right after New.
+func TestDeleteReleasesModuleMemory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes under the race detector are not the daemon's")
+	}
+	type module struct{ name, src string }
+	var mods []module
+	for _, c := range benchgen.Fig13Configs() {
+		mods = append(mods, module{c.Name, benchgen.Generate(c).String()})
+	}
+	s := New(Config{})
+	defer s.Close()
+	h := s.Handler()
+	baseline := liveHeap()
+	for _, m := range mods {
+		uploadModule(t, s, m.name, "ir", m.src)
+	}
+	loaded := liveHeap()
+	for _, m := range mods {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/v1/modules/"+m.name, nil))
+		if rec.Code != http.StatusNoContent {
+			t.Fatalf("deleting %s: %d %s", m.name, rec.Code, rec.Body.Bytes())
+		}
+	}
+	after := liveHeap()
+	t.Logf("live heap over the baseline: %d B with %d modules, %d B after deleting them all",
+		loaded-baseline, len(mods), after-baseline)
+	if after-baseline > 1<<20 {
+		t.Errorf("%d B stay live after every module was deleted; want at most 1 MiB", after-baseline)
+	}
+	runtime.KeepAlive(mods)
 }

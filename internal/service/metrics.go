@@ -10,7 +10,6 @@ import (
 	"repro/internal/alias"
 	"repro/internal/budget"
 	"repro/internal/store"
-	"repro/internal/symbolic"
 	"repro/internal/telemetry"
 )
 
@@ -112,9 +111,9 @@ func newMetrics(s *Service) *metrics {
 			emit(1, Version, runtime.Version())
 		})
 
-	// ---- Crash-safe store and analysis reuse. Families exist (at zero)
-	// even memory-only, so dashboards need no conditional scrape config;
-	// every number reads the same snapshot /v1/stats renders. ----
+	// ---- Crash-safe store. Families exist (at zero) even memory-only, so
+	// dashboards need no conditional scrape config; every number reads the
+	// same snapshot /v1/stats renders. ----
 
 	storeStat := func(get func(st store.Stats) float64) func() float64 {
 		return func() float64 {
@@ -152,20 +151,6 @@ func newMetrics(s *Service) *metrics {
 				return 1
 			}
 			return 0
-		})
-	reg.CounterFunc("aliasd_store_functions_reused_total",
-		"Function analyses served zero-copy from the cross-module reuse cache.",
-		func() float64 { return float64(s.funcsReused.Load()) })
-	reg.GaugeFunc("aliasd_reuse_cache_bytes",
-		"Approximate resident bytes of the cross-module analysis reuse cache.",
-		func() float64 { return float64(s.reuse.SizeBytes()) })
-	reg.Collect("aliasd_reuse_cache_ops_total",
-		"Reuse-cache lookups by outcome (hit|miss) plus LRU evictions.",
-		"counter", []string{"op"}, func(emit func(float64, ...string)) {
-			rs := s.reuse.Snapshot()
-			emit(float64(rs.Hits), "hit")
-			emit(float64(rs.Misses), "miss")
-			emit(float64(rs.Evictions), "evict")
 		})
 
 	// ---- Memory budget, backpressure and lifecycle. Every family reads
@@ -300,16 +285,8 @@ func newMetrics(s *Service) *metrics {
 	// ---- Interner. Each module build runs in its own interner (see
 	// Handle.interner), so the claimed gauge is the sum over live modules
 	// and DROPS when a module is deleted — the churn test in
-	// metrics_test.go pins that down. The Default interner still exists for
-	// expressions minted outside module builds (tests, ad-hoc tooling) and
-	// its gauges are kept separate. ----
+	// metrics_test.go pins that down. ----
 
-	reg.GaugeFunc("aliasd_interner_exprs",
-		"Hash-consed symbolic expressions resident in the shared Default intern table (expressions minted outside module builds).",
-		func() float64 { return float64(symbolic.Default().Stats().Interned) })
-	reg.CounterFunc("aliasd_interner_hits_total",
-		"Default intern-table lookups answered by an existing expression.",
-		func() float64 { return float64(symbolic.Default().Stats().Hits) })
 	reg.GaugeFunc("aliasd_interner_claimed_exprs",
 		"Symbolic expressions held by live module interners (falls when modules are deleted or evicted).",
 		func() float64 {

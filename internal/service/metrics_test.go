@@ -373,7 +373,7 @@ func TestMetricsLint(t *testing.T) {
 		"aliasd_build_queue_depth",
 		"aliasd_modules",
 		"aliasd_uptime_seconds",
-		"aliasd_interner_exprs",
+		"aliasd_interner_claimed_exprs",
 	} {
 		if telemetry.FindFamily(fams, name) == nil {
 			t.Errorf("family %s missing from /metrics", name)

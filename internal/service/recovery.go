@@ -13,11 +13,9 @@ import (
 // replay the service sheds queries and uploads with the retryable
 // "recovering" reason; /readyz reports the same.
 //
-// Each live record re-runs the full build chain through runBuild — the
+// Each live record re-runs the full build chain through Build — the
 // frozen-index and interner contracts hold for recovered modules exactly
-// as for uploaded ones — with the reuse cache warm across records, so a
-// fleet of near-identical persisted modules recovers in far less time than
-// it took to build cold. A record that fails to build (a format the binary
+// as for uploaded ones. A record that fails to build (a format the binary
 // no longer accepts, a module renamed over) is logged and skipped but left
 // in the store: the next binary may build it again. A record that fails
 // its checksum never reaches here — the store quarantines it during
@@ -38,13 +36,12 @@ func (s *Service) Recover() error {
 	rebuilt, skipped := 0, 0
 	replayed, err := s.store.Replay(func(rec store.Record) error {
 		h := NewPending(rec.Name, rec.Format)
-		if berr := h.build(string(rec.Source), s.cfg.MaxSourceBytes, s.reuse); berr != nil {
+		if berr := h.Build(string(rec.Source), s.cfg.MaxSourceBytes); berr != nil {
 			s.log.Error("recovered module failed to build; skipping",
 				"module", rec.Name, "error", berr)
 			skipped++
 			return nil
 		}
-		s.funcsReused.Add(int64(h.FuncsReused))
 		if aerr := s.reg.Add(h); aerr != nil {
 			s.log.Error("recovered module not registered; skipping",
 				"module", rec.Name, "error", aerr)
@@ -67,8 +64,7 @@ func (s *Service) Recover() error {
 	s.reconcileBudget()
 	s.log.Info("store recovery finished",
 		"replayed", replayed, "rebuilt", rebuilt, "skipped", skipped,
-		"quarantined", s.store.Quarantined(), "duration", d,
-		"functions_reused", s.funcsReused.Load())
+		"quarantined", s.store.Quarantined(), "duration", d)
 	if err != nil {
 		return fmt.Errorf("store recovery: %w", err)
 	}

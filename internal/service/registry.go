@@ -76,10 +76,6 @@ type Handle struct {
 	// same-function pointer pairs) — the natural unit load generators
 	// replay.
 	PairQueries int
-	// FuncsReused counts this build's function analyses served zero-copy
-	// from the cross-module reuse cache instead of re-digested (0 without a
-	// cache or on an all-cold build). Written once before Ready.
-	FuncsReused int
 
 	// values indexes func name → value name → value for the validate stage.
 	values map[string]map[string]*ir.Value
@@ -230,14 +226,12 @@ func estimateMem(srcLen int, st ir.Stats, values int, ix *alias.Index, exprs int
 
 // runBuild runs the parse/verify/analyze chain, compiles the alias index
 // from it and fills the built fields on success; the chain itself is
-// dropped once the index holds its verdicts. reuse, when non-nil, serves
-// isolated functions whose printed text matches a previous build zero-copy
-// (see alias.BuildIndexCached) — the content-addressed incremental-build
-// path a re-upload or a recovery replay of a mostly-unchanged module
-// takes. It does NOT publish a state transition — the caller decides
-// (Build for standalone handles, Registry.Finish for async builds, where
-// promotion into the module table and the Ready transition must agree).
-func (h *Handle) runBuild(src string, maxSourceBytes int, reuse *alias.IndexCache) error {
+// dropped once the index holds its verdicts. Everything the build creates
+// belongs to this handle alone, so retiring it frees all of it. It does
+// NOT publish a state transition — the caller decides (Build for
+// standalone handles, Registry.Finish for async builds, where promotion
+// into the module table and the Ready transition must agree).
+func (h *Handle) runBuild(src string, maxSourceBytes int) error {
 	if maxSourceBytes > 0 && len(src) > maxSourceBytes {
 		return fmt.Errorf("source is %d bytes, exceeding the %d-byte limit", len(src), maxSourceBytes)
 	}
@@ -260,14 +254,13 @@ func (h *Handle) runBuild(src string, maxSourceBytes int, reuse *alias.IndexCach
 	// A fresh interner per module: every symbolic expression the chain
 	// mints below is owned by this handle and reclaimed at teardown.
 	in := symbolic.NewInterner()
-	ix, reused := alias.BuildIndexCached(NewChain(m, in), m, reuse)
+	ix := alias.BuildIndex(NewChain(m, in), m)
 	if ix == nil {
 		return fmt.Errorf("analyze: the alias chain did not compile to an index")
 	}
 	h.Mod = m
 	h.Planner = alias.NewPlanner(ix)
 	h.wire = newWireNames(h.Name, ix)
-	h.FuncsReused = reused
 	h.IRStats = m.Stats()
 	h.PairQueries = alias.NumQueries(m)
 	h.values = map[string]map[string]*ir.Value{}
@@ -299,12 +292,7 @@ func (h *Handle) fail(err error) {
 // The returned error (also recorded on the handle) is safe to echo to
 // clients.
 func (h *Handle) Build(src string, maxSourceBytes int) error {
-	return h.build(src, maxSourceBytes, nil)
-}
-
-// build is Build with the reuse cache pluggable.
-func (h *Handle) build(src string, maxSourceBytes int, reuse *alias.IndexCache) error {
-	if err := h.runBuild(src, maxSourceBytes, reuse); err != nil {
+	if err := h.runBuild(src, maxSourceBytes); err != nil {
 		h.fail(err)
 		return err
 	}

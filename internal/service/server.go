@@ -165,16 +165,6 @@ type StoreStats struct {
 	Errors          int64   `json:"errors"`
 	RecoverySeconds float64 `json:"recovery_seconds"`
 	Recovering      bool    `json:"recovering"`
-	FunctionsReused int64   `json:"functions_reused"`
-}
-
-// ReuseStats is the cross-module analysis-reuse section of /v1/stats.
-type ReuseStats struct {
-	Entries   int   `json:"entries"`
-	Bytes     int64 `json:"bytes"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
 }
 
 // StatsResponse is the body of GET /v1/stats.
@@ -190,7 +180,6 @@ type StatsResponse struct {
 	ModulesEvicted int64         `json:"modules_evicted"`
 	Budget         BudgetStats   `json:"budget"`
 	Store          *StoreStats   `json:"store,omitempty"`
-	Reuse          *ReuseStats   `json:"reuse,omitempty"`
 	Modules        []ModuleStats `json:"modules"`
 }
 
@@ -384,7 +373,7 @@ func (s *Service) handleCreateModule(w http.ResponseWriter, r *http.Request) {
 		h := NewPending(name, format)
 		buildStart := time.Now()
 		s.injectBuild(name)
-		err := h.build(string(src), s.cfg.MaxSourceBytes, s.reuse)
+		err := h.Build(string(src), s.cfg.MaxSourceBytes)
 		s.observeBuild(name, "sync", buildStart, err)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
@@ -407,7 +396,6 @@ func (s *Service) handleCreateModule(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, "persisting module: %v", err)
 			return
 		}
-		s.funcsReused.Add(int64(h.FuncsReused))
 		info := moduleInfo(h)
 		h.Release()
 		// A fresh module is the accounting's fastest-moving input; fold it
@@ -438,11 +426,10 @@ func (s *Service) handleCreateModule(w http.ResponseWriter, r *http.Request) {
 		defer h.Release()
 		buildStart := time.Now()
 		s.injectBuild(h.Name)
-		err := h.runBuild(string(src), s.cfg.MaxSourceBytes, s.reuse)
+		err := h.runBuild(string(src), s.cfg.MaxSourceBytes)
 		s.observeBuild(h.Name, "async", buildStart, err)
 		s.reg.Finish(h, err)
 		if err == nil && h.State() == StateReady {
-			s.funcsReused.Add(int64(h.FuncsReused))
 			// Durability follows promotion on the async path: the 202 never
 			// promised the module existed, so a persist failure here
 			// unpublishes it and logs — the status poll then reports the
@@ -738,17 +725,6 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 			Errors:          s.storeFailing.Load(),
 			RecoverySeconds: time.Duration(s.recoveryDur.Load()).Seconds(),
 			Recovering:      s.recovering.Load(),
-			FunctionsReused: s.funcsReused.Load(),
-		}
-	}
-	if s.reuse != nil {
-		rs := s.reuse.Snapshot()
-		resp.Reuse = &ReuseStats{
-			Entries:   rs.Entries,
-			Bytes:     rs.Bytes,
-			Hits:      rs.Hits,
-			Misses:    rs.Misses,
-			Evictions: rs.Evictions,
 		}
 	}
 	handles := s.reg.List()

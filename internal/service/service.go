@@ -11,7 +11,10 @@
 // oracle, chained behind an alias.Manager — compiles the chain into a frozen
 // alias.Index, drops the chain, and keeps the index behind an
 // alias.Planner in a bounded Registry. Construction cost is paid once per
-// module; queries are lock-free reads of the index's columns.
+// module; queries are lock-free reads of the index's columns. Uploads,
+// async builds and store recovery all run this one build, and no build
+// shares anything with another module's, so a module owns everything its
+// build created.
 //
 // Queries are batched: one POST to /v1/query carries up to Config.MaxBatch
 // pairs, each naming two values of one function ("func", "a", "b"). A batch
@@ -40,7 +43,7 @@
 // Modules are refcounted: every batch pins its handle for the duration of
 // the request, so DELETE /v1/modules/{name} (or an eviction) retires a
 // module without yanking it from under in-flight queries — teardown waits
-// for the last pin. With eviction enabled, registering into a full registry
+// for the last pin, and then frees everything the module's build created. With eviction enabled, registering into a full registry
 // displaces the least-recently-queried module (preferring ones with no
 // pins) instead of failing; only builds that actually succeeded compete
 // for module slots, so malformed uploads can never displace anything.
@@ -73,7 +76,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/alias"
 	"repro/internal/budget"
 	"repro/internal/pool"
 	"repro/internal/store"
@@ -145,9 +147,6 @@ type Config struct {
 	// persisted before they are acknowledged, deletes are tombstoned, and
 	// Recover replays the manifest into the registry at boot.
 	Store *store.Store
-	// ReuseCacheBytes bounds the cross-module function-analysis reuse cache
-	// (0 = the alias-package 32 MiB default, negative = disable reuse).
-	ReuseCacheBytes int64
 	// Chaos injects synthetic faults at the service's seams (nil = off —
 	// production). See Injector.
 	Chaos Injector
@@ -200,15 +199,12 @@ type Service struct {
 	log     *slog.Logger
 	metrics *metrics
 
-	// store is the crash-safe module store (nil when running memory-only);
-	// reuse is the cross-module function-analysis cache runBuild consults.
+	// store is the crash-safe module store (nil when running memory-only).
 	// recovering is set for the duration of Recover's manifest replay —
 	// /readyz reports it and admission sheds with a retryable reason.
 	store        *store.Store
-	reuse        *alias.IndexCache
 	recovering   atomic.Bool
 	recoveryDur  atomic.Int64 // nanoseconds spent in the last Recover
-	funcsReused  atomic.Int64 // function analyses served from the reuse cache
 	storeFailing atomic.Int64 // persist operations that returned an error
 
 	// budget is the watermark tracker (nil-safe: disabled when MemBudget
@@ -259,9 +255,6 @@ func New(cfg Config) *Service {
 		log:    cfg.Logger,
 		budget: budget.New(cfg.MemBudget, cfg.BudgetOptions),
 		store:  cfg.Store,
-	}
-	if cfg.ReuseCacheBytes >= 0 {
-		s.reuse = alias.NewIndexCache(cfg.ReuseCacheBytes)
 	}
 	if s.store != nil && cfg.Chaos != nil {
 		// The chaos seam for crash-after-write: every completed persist step
