@@ -19,30 +19,37 @@
 // Soundness: anything that reaches an extern call, or is loaded from
 // memory an extern may have written, degrades to the universal set.
 //
-// Representation: points-to sets are dense bitsets over allocation-site
-// indices (plus one ⊤ bit), and the solver is a worklist with difference
-// propagation — every node remembers the portion of its set already pushed
-// to its successors ("done") and only the delta flows on re-visits. Nodes
-// are the module's pointer values, one content node per abstract object,
-// and one escape sink whose set accumulates the objects reachable from
-// extern calls. Load/store constraints add copy edges lazily as the address
-// sets grow, unioning the source's full current set at edge-creation time,
-// which keeps difference propagation exact.
+// Representation: points-to sets are sparse sets over allocation-site
+// indices plus one ⊤ bit — runs of (word index, 64-bit word) pairs, so a
+// set costs what its sites occupy rather than a row as wide as the module's
+// site count — kept in one shared arena while solving and compacted into
+// an alias.SetColumn for the Result. The solver is a worklist with
+// difference propagation: every node remembers the portion of its set
+// already pushed to its successors ("done") and only the delta flows on
+// re-visits. Nodes are the module's pointer values, one content node per
+// abstract object, and one escape sink whose set accumulates the objects
+// reachable from extern calls. Load/store constraints add copy edges lazily
+// as the address sets grow, unioning the source's full current set at
+// edge-creation time, which keeps difference propagation exact.
 package andersen
 
 import (
+	"math/bits"
+
 	"repro/internal/alias"
 	"repro/internal/ir"
 )
 
-// Result holds the points-to solution: one bitset row per node, queried by
-// pointer value. It is immutable after Analyze and safe for concurrent use.
+// Result holds the points-to solution: one sparse set per pointer value,
+// queried by value, with ⊤ lifted into the column's Unknown flag (an
+// unknown value keeps no sites). It is immutable after Analyze and safe
+// for concurrent use.
 type Result struct {
 	sites  []ir.Site
-	n      int // site count; bit n is the ⊤ marker
-	words  int
 	nodeOf map[*ir.Value]int32
-	pts    []uint64 // flat rows, words per node
+	// base is the first value node: sol's row i is node base+i.
+	base int32
+	sol  alias.SetColumn
 }
 
 var _ alias.Analysis = (*Result)(nil)
@@ -50,80 +57,73 @@ var _ alias.Analysis = (*Result)(nil)
 // Name identifies the analysis.
 func (r *Result) Name() string { return "andersen" }
 
-func (r *Result) row(id int32) bitset {
-	return bitset(r.pts[int(id)*r.words : (int(id)+1)*r.words])
+// row resolves v to its row in sol: -1 for a value without one, whose set
+// is empty (a constant such as null) or, for an untracked pointer, ⊤.
+func (r *Result) row(v *ir.Value) (row int32, unknown bool) {
+	id, ok := r.nodeOf[v]
+	if !ok {
+		return -1, v.Kind != ir.VConst
+	}
+	row = id - r.base
+	return row, r.sol.Unknown[row]
 }
 
 // PointsTo returns the sorted site indices v may address; unknown=true
 // means ⊤ (the slice is then meaningless). Constants (null) have empty
 // known sets; untracked pointers are conservatively ⊤.
 func (r *Result) PointsTo(v *ir.Value) (sites []int, unknown bool) {
-	id, ok := r.nodeOf[v]
-	if !ok {
-		if v.Kind == ir.VConst {
-			return nil, false
-		}
-		return nil, true // untracked pointer: be conservative
+	row, unknown := r.row(v)
+	if unknown || row < 0 {
+		return nil, unknown
 	}
-	row := r.row(id)
-	if row.has(r.n) {
-		return nil, true
+	lo, hi := r.sol.Start[row], r.sol.Start[row+1]
+	n := 0
+	for _, w := range r.sol.Words[lo:hi] {
+		n += bits.OnesCount64(w)
 	}
-	out := make([]int, 0, row.count())
-	row.forEach(func(i int) { out = append(out, i) })
+	out := make([]int, 0, n)
+	forEach(r.sol.Idx[lo:hi], r.sol.Words[lo:hi], func(b int) { out = append(out, b) })
 	return out, false
 }
 
-// Alias reports no-alias when both points-to sets are known and disjoint.
-// With bitset rows this is a word-wise intersection test, allocation-free.
+// Alias reports no-alias when both points-to sets are known and disjoint:
+// a merge of the two runs, allocation-free.
 func (r *Result) Alias(p, q *ir.Value) alias.Result {
-	rp, up := r.aliasRow(p)
-	rq, uq := r.aliasRow(q)
-	if up || uq {
-		return alias.MayAlias
-	}
-	if rp != nil && rq != nil && rp.intersects(rq) {
+	rp, up := r.row(p)
+	rq, uq := r.row(q)
+	if up || uq || rp >= 0 && rq >= 0 && r.sol.Intersects(rp, rq) {
 		return alias.MayAlias
 	}
 	return alias.NoAlias
 }
 
-// aliasRow resolves a value to its solution row; a nil row with unknown
-// false is the empty set (constants).
-func (r *Result) aliasRow(v *ir.Value) (bitset, bool) {
-	id, ok := r.nodeOf[v]
-	if !ok {
-		return nil, v.Kind != ir.VConst
-	}
-	row := r.row(id)
-	return row, row.has(r.n)
-}
-
 var _ alias.SetDigester = (*Result)(nil)
 
-// SetDigests implements alias.SetDigester: the solution rows of one
-// function's pointer values copied into a flat per-function column, with the
-// ⊤ marker lifted into a flag so the index pair check is a pure word-wise
-// AND. Untracked values compile as unknown, exactly like aliasRow.
+// SetDigests implements alias.SetDigester: the runs of one function's
+// pointer values copied into a per-function column, sized exactly.
+// Untracked values compile as unknown, exactly like Alias.
 func (r *Result) SetDigests(f *ir.Func, universe []*ir.Value) *alias.SetColumn {
-	n := len(universe)
 	c := &alias.SetColumn{
-		Words:   r.words,
-		Rows:    make([]uint64, n*r.words),
-		Unknown: make([]bool, n),
+		Start:   make([]int32, len(universe)+1),
+		Unknown: make([]bool, len(universe)),
 	}
+	pairs := int32(0)
+	for _, v := range universe {
+		if row, unknown := r.row(v); !unknown && row >= 0 {
+			pairs += r.sol.Start[row+1] - r.sol.Start[row]
+		}
+	}
+	c.Idx = make([]int32, 0, pairs)
+	c.Words = make([]uint64, 0, pairs)
 	for i, v := range universe {
-		id, ok := r.nodeOf[v]
-		if !ok {
-			c.Unknown[i] = v.Kind != ir.VConst
-			continue
+		row, unknown := r.row(v)
+		c.Unknown[i] = unknown
+		if !unknown && row >= 0 {
+			lo, hi := r.sol.Start[row], r.sol.Start[row+1]
+			c.Idx = append(c.Idx, r.sol.Idx[lo:hi]...)
+			c.Words = append(c.Words, r.sol.Words[lo:hi]...)
 		}
-		row := r.row(id)
-		if row.has(r.n) {
-			c.Unknown[i] = true
-			continue
-		}
-		copy(c.Rows[i*r.words:(i+1)*r.words], row)
+		c.Start[i+1] = int32(len(c.Idx))
 	}
 	return c
 }
@@ -136,8 +136,7 @@ func (r *Result) SetDigests(f *ir.Func, universe []*ir.Value) *alias.SetColumn {
 const escapeNode int32 = 0
 
 type solver struct {
-	n     int // sites
-	words int
+	n     int // sites; bit n is the ⊤ marker
 	nodes int32
 
 	nodeOf map[*ir.Value]int32
@@ -151,8 +150,9 @@ type solver struct {
 	// constraints add during solving).
 	edgeSeen map[uint64]struct{}
 
-	pts  []uint64 // current sets, flat rows
-	done []uint64 // already-propagated portion of pts
+	// pts holds the current sets and, word by word, their
+	// already-propagated portion ("done"); nil spans until solving starts.
+	pts arena
 
 	queue []int32
 	inQ   []bool
@@ -178,10 +178,6 @@ func (s *solver) newNode() int32 {
 	return id
 }
 
-func (s *solver) rowOf(arr []uint64, id int32) bitset {
-	return bitset(arr[int(id)*s.words : (int(id)+1)*s.words])
-}
-
 func (s *solver) push(id int32) {
 	if !s.inQ[id] {
 		s.inQ[id] = true
@@ -202,8 +198,10 @@ func (s *solver) addEdge(a, b int32) {
 	}
 	s.edgeSeen[key] = struct{}{}
 	s.succ[a] = append(s.succ[a], b)
-	if s.pts != nil && unionInto(s.rowOf(s.pts, b), s.rowOf(s.pts, a)) {
-		s.push(b)
+	if s.pts.spans != nil {
+		if ai, aw := s.pts.get(a); s.pts.union(b, ai, aw) {
+			s.push(b)
+		}
 	}
 }
 
@@ -215,7 +213,6 @@ func Analyze(m *ir.Module) *Result {
 	}
 	sites := m.AllocSites()
 	s.n = len(sites)
-	s.words = bitsetWords(s.n + 1)
 
 	siteOf := map[*ir.Instr]int{}
 	gsite := map[*ir.Global]int{}
@@ -333,12 +330,11 @@ func Analyze(m *ir.Module) *Result {
 		seed(g.Addr, gsite[g])
 	}
 
-	// Rows exist now: apply seeds and run the worklist.
-	s.pts = make([]uint64, int(s.nodes)*s.words)
-	s.done = make([]uint64, int(s.nodes)*s.words)
+	// Sets exist now: apply seeds and run the worklist.
+	s.pts = newArena(s.nodes)
 	s.inQ = make([]bool, s.nodes)
 	for _, sd := range seeds {
-		if s.rowOf(s.pts, sd.node).set(sd.bit) {
+		if s.pts.add(sd.node, sd.bit) {
 			s.push(sd.node)
 		}
 	}
@@ -346,41 +342,60 @@ func Analyze(m *ir.Module) *Result {
 
 	return &Result{
 		sites:  sites,
-		n:      s.n,
-		words:  s.words,
 		nodeOf: s.nodeOf,
-		pts:    s.pts,
+		base:   s.objNode(s.n),
+		sol:    s.compact(s.objNode(s.n)),
 	}
+}
+
+// compact copies the solved sets of nodes base.. into an exactly sized
+// column, lifting ⊤ into Unknown. The sink's and the content nodes' sets
+// stay behind: no value resolves to them.
+func (s *solver) compact(base int32) alias.SetColumn {
+	rows := s.nodes - base
+	c := alias.SetColumn{Start: make([]int32, rows+1), Unknown: make([]bool, rows)}
+	pairs := int32(0)
+	for i := range rows {
+		if c.Unknown[i] = s.pts.top(base+i, s.n); !c.Unknown[i] {
+			pairs += s.pts.spans[base+i].n
+		}
+	}
+	c.Idx = make([]int32, pairs)
+	c.Words = make([]uint64, pairs)
+	at := int32(0)
+	for i := range rows {
+		if !c.Unknown[i] {
+			ki, kw := s.pts.get(base + i)
+			copy(c.Idx[at:], ki)
+			copy(c.Words[at:], kw)
+			at += int32(len(ki))
+		}
+		c.Start[i+1] = at
+	}
+	return c
 }
 
 // solve drains the worklist with difference propagation: each visit
 // processes only the bits that arrived since the node was last propagated.
 func (s *solver) solve() {
-	var delta bitset = make([]uint64, s.words)
+	var delta []int32
+	var deltaW []uint64
 	for len(s.queue) > 0 {
 		v := s.queue[0]
 		s.queue = s.queue[1:]
 		s.inQ[v] = false
 
-		cur := s.rowOf(s.pts, v)
-		done := s.rowOf(s.done, v)
-		changed := false
-		for w := range cur {
-			delta[w] = cur[w] &^ done[w]
-			if delta[w] != 0 {
-				changed = true
-			}
-			done[w] = cur[w]
-		}
-		if !changed {
+		delta, deltaW = s.pts.takeDelta(v, delta[:0], deltaW[:0])
+		if len(delta) == 0 {
 			continue
 		}
 
 		// Complex constraints: the delta's objects materialize copy edges.
 		if len(s.loads[v]) > 0 || len(s.stores[v]) > 0 {
-			hasUnknown := delta.has(s.n)
-			delta.forEach(func(bit int) {
+			hasUnknown := false
+			forEach(delta, deltaW, func(bit int) {
 				if bit >= s.n {
+					hasUnknown = true
 					return
 				}
 				o := s.objNode(bit)
@@ -395,7 +410,7 @@ func (s *solver) solve() {
 				// Loading through ⊤ yields ⊤; storing through ⊤ makes the
 				// stored values' objects escape entirely.
 				for _, dst := range s.loads[v] {
-					if s.rowOf(s.pts, dst).set(s.n) {
+					if s.pts.add(dst, s.n) {
 						s.push(dst)
 					}
 				}
@@ -407,7 +422,7 @@ func (s *solver) solve() {
 
 		// Copy-edge propagation of the delta.
 		for _, d := range s.succ[v] {
-			if unionInto(s.rowOf(s.pts, d), delta) {
+			if s.pts.union(d, delta, deltaW) {
 				s.push(d)
 			}
 		}
@@ -415,12 +430,12 @@ func (s *solver) solve() {
 		// Escape closure: objects reaching the sink hold ⊤-contaminated
 		// cells whose contents escape transitively.
 		if v == escapeNode {
-			delta.forEach(func(bit int) {
+			forEach(delta, deltaW, func(bit int) {
 				if bit >= s.n {
 					return
 				}
 				o := s.objNode(bit)
-				if s.rowOf(s.pts, o).set(s.n) {
+				if s.pts.add(o, s.n) {
 					s.push(o)
 				}
 				s.addEdge(o, escapeNode)

@@ -1,6 +1,10 @@
 package andersen
 
 import (
+	"maps"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/alias"
@@ -181,11 +185,19 @@ func TestPointsToRefinesGRLoads(t *testing.T) {
 	}
 }
 
-// TestBitsetSolverProperties: representation-level invariants of the bitset
-// solver on a corpus module — symmetric Alias answers, sorted PointsTo
-// output, self-queries never no-alias, and deterministic re-analysis.
-func TestBitsetSolverProperties(t *testing.T) {
-	m := progs.MessageBuffer()
+// TestSparseSolverProperties: representation-level invariants of the
+// sparse-set solver on a corpus module and on mergeModule, whose sets span
+// several words — symmetric Alias answers, sorted PointsTo output,
+// self-queries never no-alias, Alias agreeing with the intersection of the
+// PointsTo sets, and deterministic re-analysis.
+func TestSparseSolverProperties(t *testing.T) {
+	for _, m := range []*ir.Module{progs.MessageBuffer(), mergeModule()} {
+		checkSolverProperties(t, m)
+	}
+}
+
+func checkSolverProperties(t *testing.T, m *ir.Module) {
+	t.Helper()
 	a1 := Analyze(m)
 	a2 := Analyze(m)
 	for _, f := range m.Funcs {
@@ -222,6 +234,128 @@ func TestBitsetSolverProperties(t *testing.T) {
 				if a1.Alias(p, q) != a1.Alias(q, p) {
 					t.Fatalf("Alias(%s,%s) not symmetric", p.Name, q.Name)
 				}
+				sp, up := a1.PointsTo(p)
+				sq, uq := a1.PointsTo(q)
+				want := alias.NoAlias
+				if up || uq || intersect(sp, sq) {
+					want = alias.MayAlias
+				}
+				if got := a1.Alias(p, q); got != want {
+					t.Fatalf("Alias(%s,%s) = %v, want %v from PointsTo %v / %v", p.Name, q.Name, got, want, sp, sq)
+				}
+			}
+		}
+	}
+}
+
+// intersect reports whether two ascending site lists share a site.
+func intersect(a, b []int) bool {
+	for x, y := 0, 0; x < len(a) && y < len(b); {
+		switch {
+		case a[x] < b[y]:
+			x++
+		case a[x] > b[y]:
+			y++
+		default:
+			return true
+		}
+	}
+	return false
+}
+
+// TestArenaMatchesModel drives the solver's sparse-set arena with random
+// adds, unions (from scratch runs and from other sets, so sets relocate
+// while their sources sit in the same arena) and delta takes, and checks
+// every set against a map model after each step: contents in ascending
+// order with no zero word, the grew/was-clear reports, each delta against
+// the bits added since the last one, and the ⊤ test.
+func TestArenaMatchesModel(t *testing.T) {
+	const sets, universe, top = 12, 700, 700
+	rng := rand.New(rand.NewSource(7))
+	a := newArena(sets)
+	model := make([]map[int]bool, sets)
+	done := make([]map[int]bool, sets)
+	for i := range model {
+		model[i], done[i] = map[int]bool{}, map[int]bool{}
+	}
+	runOf := func(bits map[int]bool) ([]int32, []uint64) {
+		var ks []int
+		for b := range bits {
+			ks = append(ks, b)
+		}
+		sort.Ints(ks)
+		var ki []int32
+		var kw []uint64
+		for _, b := range ks {
+			if n := len(ki); n > 0 && ki[n-1] == int32(b>>6) {
+				kw[n-1] |= 1 << uint(b&63)
+				continue
+			}
+			ki = append(ki, int32(b>>6))
+			kw = append(kw, 1<<uint(b&63))
+		}
+		return ki, kw
+	}
+	randomBits := func() map[int]bool {
+		out := map[int]bool{}
+		for n := rng.Intn(4); n > 0; n-- {
+			out[rng.Intn(universe+1)] = true
+		}
+		return out
+	}
+	for step := 0; step < 600; step++ {
+		d := int32(rng.Intn(sets))
+		var grew bool
+		before := len(model[d])
+		switch rng.Intn(4) {
+		case 0:
+			b := rng.Intn(universe + 1)
+			grew = a.add(d, b)
+			model[d][b] = true
+		case 1:
+			bits := randomBits()
+			ki, kw := runOf(bits)
+			grew = a.union(d, ki, kw)
+			for b := range bits {
+				model[d][b] = true
+			}
+		case 2:
+			src := int32(rng.Intn(sets))
+			if src == d {
+				continue
+			}
+			ki, kw := a.get(src)
+			grew = a.union(d, ki, kw)
+			for b := range model[src] {
+				model[d][b] = true
+			}
+		case 3:
+			fresh := map[int]bool{}
+			for b := range model[d] {
+				if !done[d][b] {
+					fresh[b] = true
+				}
+			}
+			ki, kw := a.takeDelta(d, nil, nil)
+			if wi, ww := runOf(fresh); !slices.Equal(ki, wi) || !slices.Equal(kw, ww) {
+				t.Fatalf("step %d: delta of set %d = %v/%x, model %v/%x", step, d, ki, kw, wi, ww)
+			}
+			done[d] = maps.Clone(model[d])
+			before = -1
+		}
+		if before >= 0 && grew != (len(model[d]) > before) {
+			t.Fatalf("step %d: set %d grew=%v, model went %d -> %d", step, d, grew, before, len(model[d]))
+		}
+		// Every set, so a union that moved its target is seen to leave
+		// its source (and every other set) intact.
+		for s := int32(0); s < sets; s++ {
+			ki, kw := a.get(s)
+			wi, ww := runOf(model[s])
+			if !slices.Equal(ki, wi) || !slices.Equal(kw, ww) {
+				t.Fatalf("step %d: set %d = %v/%x, model %v/%x", step, s, ki, kw, wi, ww)
+			}
+			if a.top(s, top) != model[s][top] {
+				t.Fatalf("step %d: set %d top = %v, model %v", step, s, a.top(s, top), model[s][top])
 			}
 		}
 	}

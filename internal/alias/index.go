@@ -12,9 +12,9 @@ import (
 // compiled into a frozen, value-numbered universe with one flat *column* per
 // chain member: rbaa's GR range digests and LR locations, basicaa's
 // underlying-object classes, scevaa's closed-form classes, and andersen's
-// points-to bitset rows. A pair verdict over the index is a handful of array
-// lookups (plus a word-wise bitset AND for the points-to member) instead of
-// interface dispatch through the Manager chain — and the verdict is
+// sparse points-to sets. A pair verdict over the index is a handful of array
+// lookups (plus a merge of two short site runs for the points-to member)
+// instead of interface dispatch through the Manager chain — and the verdict is
 // *identical* to what Manager.Evaluate computes, member for member, detail
 // for detail, which is what lets the service answer from the index alone
 // and drop the chain once the index is built.
@@ -206,25 +206,48 @@ func (c *SCEVColumn) pair(i, j int32) Result {
 	return MayAlias
 }
 
-// SetColumn is the compiled form of a points-to analysis: one dense bitset
-// row per universe value (flat, Words words each) plus the ⊤ marker.
+// SetColumn is the compiled form of a points-to analysis: one sparse site
+// set per value, plus the ⊤ marker. A set is a run of (word index, word)
+// pairs ascending by word index with no zero word: site s is in the set
+// when the pair with index s/64 has bit s%64. Value i's run is
+// Idx[Start[i]:Start[i+1]] with the matching Words, and an Unknown value's
+// run is empty. A one-site set costs 12 bytes, and a set over every site
+// at most 1.5x a dense bitset row, so the column grows with the sites the
+// sets hold, not with the module's site count.
 type SetColumn struct {
-	Words   int
-	Rows    []uint64
+	Start   []int32 // len n+1; prefix offsets into Idx and Words
+	Idx     []int32
+	Words   []uint64
 	Unknown []bool
 }
 
-// pair replicates andersen's disjoint-points-to test: a word-wise AND.
-func (c *SetColumn) pair(i, j int32) Result {
-	if c.Unknown[i] || c.Unknown[j] {
-		return MayAlias
-	}
-	a := c.Rows[int(i)*c.Words : (int(i)+1)*c.Words]
-	b := c.Rows[int(j)*c.Words : (int(j)+1)*c.Words]
-	for w := range a {
-		if a[w]&b[w] != 0 {
-			return MayAlias
+// Intersects reports whether the runs of values i and j share a site: a
+// merge of the two runs that ANDs the words at equal indices. It does not
+// look at Unknown.
+func (c *SetColumn) Intersects(i, j int32) bool {
+	ai, aw := c.Idx[c.Start[i]:c.Start[i+1]], c.Words[c.Start[i]:c.Start[i+1]]
+	bi, bw := c.Idx[c.Start[j]:c.Start[j+1]], c.Words[c.Start[j]:c.Start[j+1]]
+	for x, y := 0, 0; x < len(ai) && y < len(bi); {
+		switch {
+		case ai[x] < bi[y]:
+			x++
+		case ai[x] > bi[y]:
+			y++
+		default:
+			if aw[x]&bw[y] != 0 {
+				return true
+			}
+			x++
+			y++
 		}
+	}
+	return false
+}
+
+// pair replicates andersen's disjoint-points-to test.
+func (c *SetColumn) pair(i, j int32) Result {
+	if c.Unknown[i] || c.Unknown[j] || c.Intersects(i, j) {
+		return MayAlias
 	}
 	return NoAlias
 }
@@ -488,8 +511,9 @@ func (ix *Index) Evaluate(p, q *ir.Value) (Verdict, bool) {
 
 // funcIndexFixed is what one FuncIndex holds besides its arrays: the
 // struct, its column headers, the shared detail slices and its map entry,
-// with allocation slack — 1.1–1.3 KB measured on Fig. 15 modules.
-const funcIndexFixed = 1200
+// with allocation slack — 1.16–1.18 KB measured on Fig. 15 modules [14]
+// to [44].
+const funcIndexFixed = 1170
 
 // approxBytes sums the column footprints of one function index.
 func (fi *FuncIndex) approxBytes() int64 {
@@ -508,7 +532,7 @@ func (fi *FuncIndex) approxBytes() int64 {
 			n += int64(len(c.scev.Base))*ptrSize + int64(len(c.scev.Shape))*4 +
 				int64(len(c.scev.Konst))*8 + int64(len(c.scev.HasIter))
 		case c.set != nil:
-			n += int64(len(c.set.Rows))*8 + int64(len(c.set.Unknown))
+			n += int64(len(c.set.Start))*4 + int64(len(c.set.Idx))*(4+8) + int64(len(c.set.Unknown))
 		}
 	}
 	return n

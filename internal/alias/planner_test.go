@@ -144,6 +144,32 @@ func TestIndexEvaluateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestIndexSizeLinear checks that the compiled index grows linearly with
+// the module: its MemBytes per instruction on the Fig. 15 program [44]
+// (~95k instructions) must lie within 10% of [34]'s (~24k). Points-to rows
+// as wide as the module's site count grew it ~1.8x over that span.
+func TestIndexSizeLinear(t *testing.T) {
+	if raceEnabled {
+		t.Skip("builds two large modules; slow under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("builds two large modules")
+	}
+	cfgs := benchgen.ScalabilityConfigs(50)
+	var per [2]float64
+	for k, i := range []int{34, 44} {
+		m := benchgen.Generate(cfgs[i])
+		ix := alias.BuildIndex(newServiceChain(m), m)
+		instrs := m.Stats().Instrs
+		per[k] = float64(ix.MemBytes()) / float64(instrs)
+		t.Logf("%s: %d instrs, MemBytes %d, %.1f B/instr", m.Name, instrs, ix.MemBytes(), per[k])
+	}
+	if r := per[1] / per[0]; r > 1.10 || r < 0.90 {
+		t.Errorf("index bytes per instruction went from %.1f to %.1f (%.2fx) over a 4x larger module; want within 10%%",
+			per[0], per[1], r)
+	}
+}
+
 // TestPlannerBatchesMatchManagerUnderRace drives random batches through the
 // sweep-line planner from concurrent workers and checks every answer's
 // Result against a per-pair Manager.Evaluate on an untouched oracle — the

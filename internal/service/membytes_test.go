@@ -86,3 +86,29 @@ func TestDeleteReleasesModuleMemory(t *testing.T) {
 	}
 	runtime.KeepAlive(mods)
 }
+
+// BenchmarkBuildHandleXL builds the XL-2M Fig. 15 program (~1.9M
+// instructions) through BuildHandle, as an upload does, and reports the
+// build time and the live heap the handle keeps per instruction. The
+// module text is generated before the measured window, so only the
+// build's own retention counts. It peaks at a few GB of RSS; run it alone:
+//
+//	go test -run '^$' -bench BuildHandleXL -benchtime 1x -timeout 30m ./internal/service/
+func BenchmarkBuildHandleXL(b *testing.B) {
+	src := benchgen.Generate(benchgen.XLScalabilityConfigs()[0]).String()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before := liveHeap()
+		b.StartTimer()
+		h, err := BuildHandle("scaleXL-2M", "ir", src, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		instrs := float64(h.IRStats.Instrs)
+		b.ReportMetric(float64(liveHeap()-before)/instrs, "retained-B/instr")
+		b.ReportMetric(float64(h.MemBytes())/instrs, "membytes-B/instr")
+		runtime.KeepAlive(h)
+		b.StartTimer()
+	}
+}

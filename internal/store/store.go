@@ -171,12 +171,12 @@ func (s *Store) quarantine(path string) {
 
 // ---- Manifest ----
 
-// renderManifestLocked serializes the op log with its trailing CRC line.
-func (s *Store) renderManifestLocked() []byte {
+// renderManifest serializes an op log with its trailing CRC line.
+func renderManifest(ops []op) []byte {
 	var b strings.Builder
 	b.WriteString(manifestHeader)
 	b.WriteByte('\n')
-	for _, o := range s.ops {
+	for _, o := range ops {
 		if o.del {
 			fmt.Fprintf(&b, "del - %s\n", url.PathEscape(o.name))
 		} else {
@@ -220,6 +220,9 @@ func parseManifest(b []byte) ([]op, error) {
 		}
 		switch verb {
 		case "add":
+			if !isRecordFile(file) {
+				return nil, fmt.Errorf("store: manifest names %q, not a record file", file)
+			}
 			ops = append(ops, op{name: name, file: file})
 		case "del":
 			ops = append(ops, op{del: true, name: name})
@@ -228,6 +231,23 @@ func parseManifest(b []byte) ([]op, error) {
 		}
 	}
 	return ops, nil
+}
+
+// isRecordFile reports whether name is a record base name as Put writes
+// it: 16 lowercase hex digits and the record extension. Replay, quarantine
+// and deletion join a manifest's file names under records/, so any other
+// name — a path, a "..", a temp file — is refused.
+func isRecordFile(name string) bool {
+	hexPart, ok := strings.CutSuffix(name, recordExt)
+	if !ok || len(hexPart) != 16 {
+		return false
+	}
+	for i := 0; i < len(hexPart); i++ {
+		if c := hexPart[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // loadManifest reads and replays the manifest. A missing manifest is an
@@ -278,8 +298,8 @@ func (s *Store) rebuildManifest() error {
 	s.ops = nil
 	s.live = map[string]entry{}
 	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), recordExt) {
-			continue
+		if e.IsDir() || !isRecordFile(e.Name()) {
+			continue // the orphan sweep removes stray *.rec files
 		}
 		path := filepath.Join(dir, e.Name())
 		b, err := os.ReadFile(path)
@@ -315,7 +335,7 @@ func (s *Store) writeManifestLocked() error {
 		sort.Slice(compacted, func(i, j int) bool { return compacted[i].name < compacted[j].name })
 		s.ops = compacted
 	}
-	data := s.renderManifestLocked()
+	data := renderManifest(s.ops)
 	tmp := filepath.Join(s.dir, manifestName+tmpExt)
 	if err := writeFileSync(tmp, data); err != nil {
 		return fmt.Errorf("store: writing manifest: %w", err)

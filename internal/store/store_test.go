@@ -290,17 +290,89 @@ func TestStoreManifestCompaction(t *testing.T) {
 	}
 }
 
+// manifestRejects are manifests parseManifest must refuse; FuzzParseManifest
+// seeds its corpus with them.
+var manifestRejects = []string{
+	"",
+	"aliasd-store v1\n",                      // no CRC line
+	"wrong header\ncrc 00000000\n",           // bad header (CRC also wrong)
+	"aliasd-store v1\ncrc deadbeef\n",        // CRC mismatch
+	"aliasd-store v1\nadd onlyonefield\ncrc", // malformed, no trailer newline
+	// CRC-valid adds whose file is not a record base name: a path out of
+	// records/, upper-case hex, a short name, a temp file.
+	string(renderManifest([]op{{name: "m", file: "../../victim.rec"}})),
+	string(renderManifest([]op{{name: "m", file: "0123456789ABCDEF.rec"}})),
+	string(renderManifest([]op{{name: "m", file: "0123456789abcde.rec"}})),
+	string(renderManifest([]op{{name: "m", file: "0123456789abcdef.rec.tmp"}})),
+}
+
 func TestParseManifestRejects(t *testing.T) {
-	cases := []string{
-		"",
-		"aliasd-store v1\n",                      // no CRC line
-		"wrong header\ncrc 00000000\n",           // bad header (CRC also wrong)
-		"aliasd-store v1\ncrc deadbeef\n",        // CRC mismatch
-		"aliasd-store v1\nadd onlyonefield\ncrc", // malformed, no trailer newline
-	}
-	for _, c := range cases {
+	for _, c := range manifestRejects {
 		if _, err := parseManifest([]byte(c)); err == nil {
 			t.Errorf("parseManifest(%q) accepted", c)
 		}
 	}
+}
+
+// TestStoreKeepsFilesOutsideRecords: a CRC-valid manifest line naming a
+// file outside records/ must not let Open or Replay touch that file (the
+// manifest is quarantined and rebuilt from the records instead). Replay
+// used to move such a file into corrupt/, and Delete would unlink it.
+func TestStoreKeepsFilesOutsideRecords(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "data")
+	s := openT(t, dir)
+	if err := s.Put("a", "minic", []byte("int a;")); err != nil {
+		t.Fatal(err)
+	}
+	victim := filepath.Join(root, "victim.rec")
+	if err := os.WriteFile(victim, []byte("not a record"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	forged := renderManifest(append(s.ops, op{name: "m", file: "../../victim.rec"}))
+	s.mu.Unlock()
+	if err := os.WriteFile(filepath.Join(dir, manifestName), forged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openT(t, dir)
+	if got := liveNames(t, s2); !reflect.DeepEqual(got, []string{"a"}) {
+		t.Errorf("after the forged manifest live = %v, want [a]", got)
+	}
+	if b, err := os.ReadFile(victim); err != nil || !bytes.Equal(b, []byte("not a record")) {
+		t.Fatalf("file outside the data directory was touched: %q, %v", b, err)
+	}
+}
+
+// FuzzParseManifest: every manifest parseManifest accepts names only record
+// base names in its adds, and re-rendering the parsed ops parses back to
+// the same ops.
+func FuzzParseManifest(f *testing.F) {
+	f.Add(renderManifest([]op{
+		{name: "fig1", file: "0123456789abcdef.rec"},
+		{name: "a b/%c", file: "fedcba9876543210.rec"},
+		{del: true, name: "fig1"},
+	}))
+	for _, c := range manifestRejects {
+		f.Add([]byte(c))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		ops, err := parseManifest(b)
+		if err != nil {
+			return
+		}
+		for _, o := range ops {
+			if !o.del && !isRecordFile(o.file) {
+				t.Fatalf("accepted add of %q, not a record base name", o.file)
+			}
+		}
+		again, err := parseManifest(renderManifest(ops))
+		if err != nil {
+			t.Fatalf("re-rendered manifest does not parse: %v", err)
+		}
+		if !reflect.DeepEqual(again, ops) {
+			t.Fatalf("re-rendered manifest parses to %+v, want %+v", again, ops)
+		}
+	})
 }
