@@ -141,10 +141,15 @@ type solver struct {
 
 	nodeOf map[*ir.Value]int32
 
-	// Static constraints, indexed by node id.
-	succ   [][]int32 // copy edges src → dsts
-	loads  [][]int32 // addr → load destinations
-	stores [][]int32 // addr → stored values
+	// Constraints, by node id: succ[v] are v's copy-edge targets (load and
+	// store constraints add more while solving), loads.of(v) the
+	// destinations of loads through v and stores.of(v) the values stored
+	// through it. Collection records them as pairs in edges, loadPairs and
+	// storePairs until the node count is known, so each table is sized
+	// once, exactly.
+	succ                         [][]int32
+	loads, stores                rows
+	edges, loadPairs, storePairs []pair
 
 	// edgeSeen dedupes copy edges (static and the ones load/store
 	// constraints add during solving).
@@ -172,10 +177,54 @@ func (s *solver) valNode(v *ir.Value) int32 {
 func (s *solver) newNode() int32 {
 	id := s.nodes
 	s.nodes++
-	s.succ = append(s.succ, nil)
-	s.loads = append(s.loads, nil)
-	s.stores = append(s.stores, nil)
 	return id
+}
+
+// pair is one constraint as collection records it: a copy edge src → dst,
+// a load through address src into dst, or a store of dst through src.
+type pair struct{ src, dst int32 }
+
+// rows groups pairs by source node over one array: row v is
+// dst[at[v]:at[v+1]], in recording order.
+type rows struct {
+	at, dst []int32
+}
+
+func (r *rows) of(v int32) []int32 { return r.dst[r.at[v]:r.at[v+1]] }
+
+// group lays pairs out as rows, one per node: a counting sort by source
+// that keeps the recording order within a row.
+func group(nodes int32, pairs []pair) rows {
+	r := rows{at: make([]int32, nodes+1), dst: make([]int32, len(pairs))}
+	for _, p := range pairs {
+		r.at[p.src]++
+	}
+	end := int32(0)
+	for v := range nodes {
+		end += r.at[v]
+		r.at[v] = end
+	}
+	r.at[nodes] = end
+	for i := len(pairs) - 1; i >= 0; i-- {
+		p := pairs[i]
+		r.at[p.src]--
+		r.dst[r.at[p.src]] = p.dst
+	}
+	return r
+}
+
+// freeze ends collection: with the node count known, it lays out the
+// recorded constraints as exactly sized tables. Each copy-edge row gets no
+// spare capacity, so an edge added while solving moves that row alone.
+func (s *solver) freeze() {
+	g := group(s.nodes, s.edges)
+	s.succ = make([][]int32, s.nodes)
+	for v := range s.nodes {
+		s.succ[v] = g.dst[g.at[v]:g.at[v+1]:g.at[v+1]]
+	}
+	s.loads = group(s.nodes, s.loadPairs)
+	s.stores = group(s.nodes, s.storePairs)
+	s.edges, s.loadPairs, s.storePairs = nil, nil, nil
 }
 
 func (s *solver) push(id int32) {
@@ -185,9 +234,10 @@ func (s *solver) push(id int32) {
 	}
 }
 
-// addEdge installs the copy edge a → b (deduped) and, when the edge is new,
-// floods a's full current set into b — required for exactness because a's
-// earlier deltas predate the edge.
+// addEdge installs the copy edge a → b (deduped). During collection it
+// only records the edge; while solving it also floods a's full current set
+// into b — required for exactness because a's earlier deltas predate the
+// edge.
 func (s *solver) addEdge(a, b int32) {
 	if a == b {
 		return
@@ -197,11 +247,13 @@ func (s *solver) addEdge(a, b int32) {
 		return
 	}
 	s.edgeSeen[key] = struct{}{}
+	if s.succ == nil {
+		s.edges = append(s.edges, pair{a, b})
+		return
+	}
 	s.succ[a] = append(s.succ[a], b)
-	if s.pts.spans != nil {
-		if ai, aw := s.pts.get(a); s.pts.union(b, ai, aw) {
-			s.push(b)
-		}
+	if ai, aw := s.pts.get(a); s.pts.union(b, ai, aw) {
+		s.push(b)
 	}
 }
 
@@ -263,12 +315,12 @@ func Analyze(m *ir.Module) *Result {
 				case ir.OpLoad:
 					if in.Res.Typ == ir.TPtr {
 						addr := s.valNode(in.Args[0])
-						s.loads[addr] = append(s.loads[addr], s.valNode(in.Res))
+						s.loadPairs = append(s.loadPairs, pair{addr, s.valNode(in.Res)})
 					}
 				case ir.OpStore:
 					if in.Args[1].Typ == ir.TPtr {
 						addr := s.valNode(in.Args[0])
-						s.stores[addr] = append(s.stores[addr], s.valNode(in.Args[1]))
+						s.storePairs = append(s.storePairs, pair{addr, s.valNode(in.Args[1])})
 					}
 				case ir.OpCall:
 					for i, a := range in.Args {
@@ -330,7 +382,9 @@ func Analyze(m *ir.Module) *Result {
 		seed(g.Addr, gsite[g])
 	}
 
-	// Sets exist now: apply seeds and run the worklist.
+	// Every node exists now: lay out the constraints and the sets, apply
+	// the seeds and run the worklist.
+	s.freeze()
 	s.pts = newArena(s.nodes)
 	s.inQ = make([]bool, s.nodes)
 	for _, sd := range seeds {
@@ -391,7 +445,7 @@ func (s *solver) solve() {
 		}
 
 		// Complex constraints: the delta's objects materialize copy edges.
-		if len(s.loads[v]) > 0 || len(s.stores[v]) > 0 {
+		if loads, stores := s.loads.of(v), s.stores.of(v); len(loads) > 0 || len(stores) > 0 {
 			hasUnknown := false
 			forEach(delta, deltaW, func(bit int) {
 				if bit >= s.n {
@@ -399,22 +453,22 @@ func (s *solver) solve() {
 					return
 				}
 				o := s.objNode(bit)
-				for _, dst := range s.loads[v] {
+				for _, dst := range loads {
 					s.addEdge(o, dst)
 				}
-				for _, val := range s.stores[v] {
+				for _, val := range stores {
 					s.addEdge(val, o)
 				}
 			})
 			if hasUnknown {
 				// Loading through ⊤ yields ⊤; storing through ⊤ makes the
 				// stored values' objects escape entirely.
-				for _, dst := range s.loads[v] {
+				for _, dst := range loads {
 					if s.pts.add(dst, s.n) {
 						s.push(dst)
 					}
 				}
-				for _, val := range s.stores[v] {
+				for _, val := range stores {
 					s.addEdge(val, escapeNode)
 				}
 			}

@@ -3,21 +3,22 @@ package alias
 import (
 	"math/bits"
 
-	"repro/internal/interval"
 	"repro/internal/ir"
-	"repro/internal/symbolic"
 )
 
 // Compiled alias index. When a module build reaches ready, each function is
 // compiled into a frozen, value-numbered universe with one flat *column* per
-// chain member: rbaa's GR range digests and LR locations, basicaa's
+// chain member: rbaa's GR ranges and LR offsets as bound digests, basicaa's
 // underlying-object classes, scevaa's closed-form classes, and andersen's
 // sparse points-to sets. A pair verdict over the index is a handful of array
-// lookups (plus a merge of two short site runs for the points-to member)
-// instead of interface dispatch through the Manager chain — and the verdict is
-// *identical* to what Manager.Evaluate computes, member for member, detail
-// for detail, which is what lets the service answer from the index alone
-// and drop the chain once the index is built.
+// lookups and integer compares (plus a merge of two short site runs for the
+// points-to member) instead of interface dispatch through the Manager chain
+// — and the verdict is *identical* to what Manager.Evaluate computes, member
+// for member, detail for detail, which is what lets the service answer from
+// the index alone and drop the chain once the index is built. No symbolic
+// expression survives into the index: rbaa's bounds are (shape id,
+// constant) digests (bound.go), ordered by a port of symbolic.Compare, so
+// the prover never runs on the query path.
 //
 // Member analyses participate by implementing one of the Digester
 // interfaces below (they already import this package, so the column types
@@ -27,33 +28,45 @@ import (
 // operand, a cross-function pair) is index-inconclusive.
 
 // GRRange is one compiled component of a pointer's global MemLoc: the
-// allocation site and the symbolic offset interval. When both bounds share
-// one additive shape (lo = Shape + Lo, hi = Shape + Hi; Shape nil for pure
-// constants — see symbolic.Expr.SplitConst), the component is Sweepable:
-// disjointness against a same-shape component is two integer compares, and
-// the planner can sort it onto a sweep line. Mixed-shape comparisons fall
-// back to the full symbolic prover, exactly like the chain.
+// allocation site and the digests of the offset interval's bounds, lo =
+// (LoShape, Lo) and hi = (HiShape, Hi). It holds no pointer and takes 32
+// bytes.
+// When both bounds share one finite shape the component is Sweepable: the
+// planner can sort it onto a sweep line, and against a component of the
+// same shape disjointness is two integer compares.
 type GRRange struct {
-	Site      int32
-	Sweepable bool
-	Shape     *symbolic.Expr // nil = constant bounds; interned, so == is shape equality
-	Lo, Hi    int64          // valid when Sweepable
-	R         interval.Interval
+	Site             int32
+	LoShape, HiShape int32
+	Lo, Hi           int64
 }
 
+func (r *GRRange) lo() Bound { return Bound{Shape: r.LoShape, K: r.Lo} }
+func (r *GRRange) hi() Bound { return Bound{Shape: r.HiShape, K: r.Hi} }
+
+// Sweepable reports whether both bounds share one finite shape.
+func (r *GRRange) Sweepable() bool { return r.LoShape == r.HiShape && r.LoShape >= ShapeConst }
+
 // RangeColumn is the compiled form of rbaa's pair-local data for one
-// function universe: per-value GR MemLocs flattened into one shared GRRange
-// array (Start[i]..Start[i+1] are value i's components, sorted by site) and
-// the LR location/offset pairs of the local test.
+// function universe, with no pointer in any of its arrays: per-value GR
+// MemLocs flattened into one shared GRRange array (Start[i]..Start[i+1] are
+// value i's components, sorted by site), the LR location and offset digest
+// of the local test, and the function's shape table.
 type RangeColumn struct {
 	Top    []bool    // GR(v) = ⊤
 	Start  []int32   // len = n+1; prefix offsets into Ranges
 	Ranges []GRRange // Start[i] == Start[i+1] means GR(v) = ⊥
 
-	LRLoc     []int32
-	LROff     []*symbolic.Expr
-	LRConst   []int64 // valid when LRIsConst
-	LRIsConst []bool
+	LRLoc   []int32
+	LRShape []int32 // LR offset of value i is (LRShape[i], LRK[i])
+	LRK     []int64
+
+	// The shape table, by shape id: Args[ArgStart[s]:ArgStart[s+1]] are
+	// the argument digests of shape s when s is a min or a max (IsMax[s]
+	// tells which), empty for every other shape. All three are nil when no
+	// bound of the function is a min or a max.
+	ArgStart []int32
+	IsMax    []bool
+	Args     []Bound
 }
 
 // rangesOf returns value i's GR components.
@@ -61,15 +74,15 @@ func (c *RangeColumn) rangesOf(i int32) []GRRange {
 	return c.Ranges[c.Start[i]:c.Start[i+1]]
 }
 
-// grDisjoint reports interval disjointness of two components: when both
-// decompose over the same shape, the shape cancels under subtraction (the
-// paper's symbolic-difference argument) and two integer compares decide;
-// otherwise the chain's full prover runs.
-func grDisjoint(a, b *GRRange) bool {
-	if a.Sweepable && b.Sweepable && a.Shape == b.Shape {
-		return a.Hi < b.Lo || b.Hi < a.Lo
-	}
-	return interval.ProvablyDisjoint(a.R, b.R)
+// lr returns the digest of value i's LR offset.
+func (c *RangeColumn) lr(i int32) Bound { return Bound{Shape: c.LRShape[i], K: c.LRK[i]} }
+
+// grDisjoint is interval.ProvablyDisjoint over two components: one bound
+// provably below the other's opposite bound. Same-shape bounds cancel
+// under subtraction (the paper's symbolic-difference argument), so the
+// common case is one integer compare per side.
+func (c *RangeColumn) grDisjoint(a, b *GRRange) bool {
+	return c.lt(a.hi(), b.lo()) || c.lt(b.hi(), a.lo())
 }
 
 // pair replicates pointer.Analysis.Query over the compiled digests: the
@@ -89,7 +102,7 @@ func (c *RangeColumn) pair(i, j int32) (Result, string) {
 				y++
 			default:
 				common = true
-				if !grDisjoint(&ra[x], &rb[y]) {
+				if !c.grDisjoint(&ra[x], &rb[y]) {
 					disjoint = false
 					x = len(ra) // abort the walk, fall through to LR
 				} else {
@@ -106,19 +119,12 @@ func (c *RangeColumn) pair(i, j int32) (Result, string) {
 		}
 	}
 	// Local test: same abstract location, provably different exact offsets.
+	// Two one-sided compares, exactly like interval.ProvablyDisjoint on the
+	// point intervals (the prover is not antisymmetric, so a single compare
+	// would be weaker than the chain's test).
 	if c.LRLoc[i] == c.LRLoc[j] {
-		if c.LRIsConst[i] && c.LRIsConst[j] {
-			if c.LRConst[i] != c.LRConst[j] {
-				return NoAlias, "local-range"
-			}
-		} else if c.LROff[i] != c.LROff[j] { // interned: equal ⇒ same expr
-			// Two one-sided compares, exactly like interval.ProvablyDisjoint
-			// on the point intervals (the prover is not antisymmetric, so a
-			// single compare would be weaker than the chain's test).
-			if symbolic.Compare(c.LROff[i], c.LROff[j]).ProvesLT() ||
-				symbolic.Compare(c.LROff[j], c.LROff[i]).ProvesLT() {
-				return NoAlias, "local-range"
-			}
+		if a, b := c.lr(i), c.lr(j); c.lt(a, b) || c.lt(b, a) {
+			return NoAlias, "local-range"
 		}
 	}
 	return MayAlias, ""
@@ -511,9 +517,9 @@ func (ix *Index) Evaluate(p, q *ir.Value) (Verdict, bool) {
 
 // funcIndexFixed is what one FuncIndex holds besides its arrays: the
 // struct, its column headers, the shared detail slices and its map entry,
-// with allocation slack — 1.16–1.18 KB measured on Fig. 15 modules [14]
-// to [44].
-const funcIndexFixed = 1170
+// with allocation slack — 1.20–1.21 KB measured on Fig. 15 modules [14]
+// to [44] (the live heap BuildIndex leaves, less the arrays priced below).
+const funcIndexFixed = 1200
 
 // approxBytes sums the column footprints of one function index.
 func (fi *FuncIndex) approxBytes() int64 {
@@ -524,8 +530,9 @@ func (fi *FuncIndex) approxBytes() int64 {
 		switch {
 		case c.rng != nil:
 			n += int64(len(c.rng.Top)) + int64(len(c.rng.Start))*4 +
-				int64(len(c.rng.Ranges))*56 +
-				int64(len(c.rng.LRLoc))*(4+ptrSize+8+1)
+				int64(len(c.rng.Ranges))*32 +
+				int64(len(c.rng.LRLoc))*(4+4+8) +
+				int64(len(c.rng.ArgStart))*4 + int64(len(c.rng.IsMax)) + int64(len(c.rng.Args))*16
 		case c.cls != nil:
 			n += int64(len(c.cls.Root))*ptrSize + int64(len(c.cls.Off))*8 + int64(len(c.cls.Flags))
 		case c.scev != nil:

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ir"
-	"repro/internal/symbolic"
 )
 
 // Batch planner. A batch of same-function alias queries has structure the
@@ -134,7 +133,7 @@ const (
 type sweepPos struct {
 	kind    int8
 	site    int32
-	shape   int32 // per-plan rank of the bound shape (sweepSingle only)
+	shape   int32 // shape id of both bounds (sweepSingle only)
 	cluster int32 // sweep-line cluster within (site, shape)
 }
 
@@ -184,7 +183,6 @@ func (pl *Planner) Plan(vals []*ir.Value) *Plan {
 	// At most the universe's distinct values land in singles, however many
 	// pairs the shard repeats them in.
 	singles := make([]planned, 0, min(len(vals), len(fi.universe)))
-	shapeRank := map[*symbolic.Expr]int32{}
 
 	seen := 0
 	for _, v := range vals {
@@ -203,15 +201,10 @@ func (pl *Planner) Plan(vals []*ir.Value) *Plan {
 			switch {
 			case len(rs) == 0:
 				e.pos.kind = sweepBottom
-			case len(rs) == 1 && rs[0].Sweepable:
+			case len(rs) == 1 && rs[0].Sweepable():
 				e.pos.kind = sweepSingle
 				e.pos.site = rs[0].Site
-				rank, ok := shapeRank[rs[0].Shape]
-				if !ok {
-					rank = int32(len(shapeRank))
-					shapeRank[rs[0].Shape] = rank
-				}
-				e.pos.shape = rank
+				e.pos.shape = rs[0].LoShape
 				e.lo, e.hi = rs[0].Lo, rs[0].Hi
 			}
 		}

@@ -65,25 +65,67 @@ func diffConfigs() []benchgen.Config {
 	return out
 }
 
+// overflowIR is a function whose φs join ptradd offsets 0 and 0 on one arm
+// with 2^62 and −2^63+10 on the other: GR(p) = [0, 2^62] and GR(q) =
+// [−2^63+10, 0] share offset 0 (on the left arm p and q are the same
+// address), but 2^62 − (−2^63+10) overflows an int64, and a prover that
+// orders bounds by the sign of their wrapped difference proves them
+// disjoint.
+const overflowIR = `module overflow
+
+func f(n int) void {
+entry:
+  %a = alloc heap 16
+  %c = cmp lt %n, 0
+  condbr %c, left, right
+left:
+  %p1 = ptradd %a, 0
+  %q1 = ptradd %a, 0
+  br join
+right:
+  %p2 = ptradd %a, 4611686018427387904
+  %q2 = ptradd %a, -9223372036854775798
+  br join
+join:
+  %p = phi [%p1, left], [%p2, right]
+  %q = phi [%q1, left], [%q2, right]
+  ret
+}
+`
+
+// diffModules are the differential tests' inputs: the diffConfigs
+// programs plus overflowIR.
+func diffModules(t *testing.T) []*ir.Module {
+	var mods []*ir.Module
+	for _, cfg := range diffConfigs() {
+		mods = append(mods, benchgen.Generate(cfg))
+	}
+	m, err := ir.Parse(overflowIR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(mods, m)
+}
+
 // TestIndexVerdictsIdenticalToManager is the compiled index's differential
 // property: for every pair of every function of randomly generated IR
 // programs, the index verdict must equal the legacy Manager chain's —
 // result, chain attribution, per-member mask and Fig. 14 detail alike.
 func TestIndexVerdictsIdenticalToManager(t *testing.T) {
-	for _, cfg := range diffConfigs() {
-		m := benchgen.Generate(cfg)
+	sawOverflow := false
+	for _, m := range diffModules(t) {
 		oracle := newServiceChain(m)
 		indexed := newServiceChain(m)
 		ix := alias.BuildIndex(indexed, m)
 		if ix == nil {
-			t.Fatalf("%s: BuildIndex returned nil for a fully digestible chain", cfg.Name)
+			t.Fatalf("%s: BuildIndex returned nil for a fully digestible chain", m.Name)
 		}
 		if ix.NumFuncs() == 0 {
-			t.Fatalf("%s: index compiled no functions", cfg.Name)
+			t.Fatalf("%s: index compiled no functions", m.Name)
 		}
 		qs := alias.Queries(m)
 		if len(qs) == 0 {
-			t.Fatalf("%s: no queries", cfg.Name)
+			t.Fatalf("%s: no queries", m.Name)
 		}
 		inconclusive := 0
 		for _, q := range qs {
@@ -95,18 +137,28 @@ func TestIndexVerdictsIdenticalToManager(t *testing.T) {
 			}
 			if !fullVerdictEqual(got, want, oracle.NumMembers()) {
 				t.Fatalf("%s: index verdict for (%s,%s) in %s diverges\n got: %+v provers=%d\nwant: %+v provers=%d",
-					cfg.Name, q.P.Name, q.Q.Name, q.P.Func.Name,
+					m.Name, q.P.Name, q.Q.Name, q.P.Func.Name,
 					got.Result, got.NumProvers(), want.Result, want.NumProvers())
 			}
 			// Symmetry: the index must not depend on operand order.
 			if rev, ok := ix.Evaluate(q.Q, q.P); !ok || rev.Result != got.Result {
-				t.Fatalf("%s: index verdict for (%s,%s) is order-dependent", cfg.Name, q.P.Name, q.Q.Name)
+				t.Fatalf("%s: index verdict for (%s,%s) is order-dependent", m.Name, q.P.Name, q.Q.Name)
+			}
+			if m.Name == "overflow" && q.P.Name+q.Q.Name == "pq" {
+				sawOverflow = true
+				if want.Result != alias.MayAlias {
+					t.Errorf("overflow: p and q share an address on one arm, but the chain answers %v (%q)",
+						want.Result, want.Detail(2))
+				}
 			}
 		}
 		if inconclusive > 0 {
 			t.Errorf("%s: %d/%d pairs index-inconclusive; same-function pointer pairs must all be covered",
-				cfg.Name, inconclusive, len(qs))
+				m.Name, inconclusive, len(qs))
 		}
+	}
+	if !sawOverflow {
+		t.Error("the overflow module's (p, q) pair was never asked")
 	}
 }
 
@@ -330,8 +382,8 @@ func TestPlanScratchBoundedByUniverse(t *testing.T) {
 			pl.Plan(vals)
 		}
 	})
-	// 16 B of position and 40 B of sweep scratch per universe value, plus
-	// the shape map; sizing the scratch by len(vals) costs ~330 KB more.
+	// 16 B of position and 40 B of sweep scratch per universe value;
+	// sizing the scratch by len(vals) costs ~330 KB more.
 	const limit = 64*ptrs + 16<<10
 	if got := res.AllocedBytesPerOp(); got > limit {
 		t.Errorf("Plan over %d pairs allocated %d bytes, want at most %d", pairs, got, limit)

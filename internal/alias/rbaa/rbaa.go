@@ -45,18 +45,20 @@ var _ alias.RangeDigester = (*Analysis)(nil)
 
 // RangeDigests implements alias.RangeDigester: the GR MemLocs and LR
 // locations of one function's pointer values, flattened into the compiled
-// column the alias.Index pair check reads. Constant interval bounds are
-// broken out so the common numeric case never touches the symbolic prover.
+// column the alias.Index pair check reads. Every GR bound and LR offset is
+// digested into a (shape id, constant) pair over the function's shape
+// table, so the column keeps no expression and its compares never reach
+// the symbolic prover.
 func (a *Analysis) RangeDigests(f *ir.Func, universe []*ir.Value) *alias.RangeColumn {
 	n := len(universe)
 	c := &alias.RangeColumn{
-		Top:       make([]bool, n),
-		Start:     make([]int32, n+1),
-		LRLoc:     make([]int32, n),
-		LROff:     make([]*symbolic.Expr, n),
-		LRConst:   make([]int64, n),
-		LRIsConst: make([]bool, n),
+		Top:     make([]bool, n),
+		Start:   make([]int32, n+1),
+		LRLoc:   make([]int32, n),
+		LRShape: make([]int32, n),
+		LRK:     make([]int64, n),
 	}
+	t := newShapeTable()
 	for i, v := range universe {
 		g := a.GR.Value(v)
 		if g.IsTop() {
@@ -64,28 +66,79 @@ func (a *Analysis) RangeDigests(f *ir.Func, universe []*ir.Value) *alias.RangeCo
 		} else {
 			for k := 0; k < g.NumRanges(); k++ {
 				site, r := g.Range(k)
-				gr := alias.GRRange{Site: int32(site), R: r}
-				if lo, hi := r.Lo(), r.Hi(); !lo.IsInf() && !hi.IsInf() {
-					loShape, loK := lo.SplitConst()
-					hiShape, hiK := hi.SplitConst()
-					if loShape == hiShape {
-						gr.Sweepable, gr.Shape, gr.Lo, gr.Hi = true, loShape, loK, hiK
-					}
-				}
-				c.Ranges = append(c.Ranges, gr)
+				lo, hi := t.digest(r.Lo()), t.digest(r.Hi())
+				c.Ranges = append(c.Ranges, alias.GRRange{Site: int32(site),
+					LoShape: lo.Shape, HiShape: hi.Shape, Lo: lo.K, Hi: hi.K})
 			}
 		}
 		c.Start[i+1] = int32(len(c.Ranges))
 
 		loc, _ := a.LR.Loc(v)
-		off := a.LR.Offset(v)
-		c.LRLoc[i] = int32(loc)
-		c.LROff[i] = off
-		if k, ok := off.ConstValue(); ok {
-			c.LRConst[i], c.LRIsConst[i] = k, true
+		off := t.digest(a.LR.Offset(v))
+		c.LRLoc[i], c.LRShape[i], c.LRK[i] = int32(loc), off.Shape, off.K
+	}
+	t.fill(c)
+	return c
+}
+
+// shapeTable numbers one function's bound shapes densely and keeps the
+// argument digests of every min and max shape. A bound's shape is its
+// symbolic.Expr.SplitConst shape: two bounds get one id exactly when their
+// canonical term lists are equal, which is when symbolic.Compare finds
+// their difference constant.
+type shapeTable struct {
+	ids      map[*symbolic.Expr]int32
+	argStart []int32 // by shape id, prefix offsets into args (len = shapes+1)
+	isMax    []bool
+	args     []alias.Bound
+}
+
+func newShapeTable() *shapeTable {
+	// Shape id 0 is alias.ShapeConst, which has no arguments.
+	return &shapeTable{ids: map[*symbolic.Expr]int32{}, argStart: []int32{0, 0}, isMax: []bool{false}}
+}
+
+// digest returns e's (shape id, constant) pair, numbering e's shape on
+// first sight. A min's or max's arguments are digested before the min or
+// max itself is numbered, so shape ids and their argument runs stay in one
+// order and argStart is a prefix array.
+func (t *shapeTable) digest(e *symbolic.Expr) alias.Bound {
+	switch {
+	case e.IsNegInf():
+		return alias.Bound{Shape: alias.ShapeNegInf}
+	case e.IsPosInf():
+		return alias.Bound{Shape: alias.ShapePosInf}
+	}
+	shape, k := e.SplitConst()
+	if shape == nil {
+		return alias.Bound{Shape: alias.ShapeConst, K: k}
+	}
+	if id, ok := t.ids[shape]; ok {
+		return alias.Bound{Shape: id, K: k}
+	}
+	var args []alias.Bound
+	kind := shape.Kind()
+	if kind == symbolic.KMin || kind == symbolic.KMax {
+		xs := shape.Args()
+		args = make([]alias.Bound, len(xs))
+		for i, x := range xs {
+			args[i] = t.digest(x)
 		}
 	}
-	return c
+	id := int32(len(t.isMax)) // one isMax entry per numbered shape
+	t.ids[shape] = id
+	t.args = append(t.args, args...)
+	t.argStart = append(t.argStart, int32(len(t.args)))
+	t.isMax = append(t.isMax, kind == symbolic.KMax)
+	return alias.Bound{Shape: id, K: k}
+}
+
+// fill hands the shape table to c, which keeps it only when some shape is
+// a min or a max (one has arguments): without one, no compare consults it.
+func (t *shapeTable) fill(c *alias.RangeColumn) {
+	if len(t.args) > 0 {
+		c.ArgStart, c.IsMax, c.Args = t.argStart, t.isMax, t.args
+	}
 }
 
 // Attribution tallies no-alias answers per reason over all module queries —

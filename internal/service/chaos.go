@@ -13,8 +13,9 @@ package service
 // checks — an injected fault consumes an admitted slot, exactly like real
 // slow work would.
 type Injector interface {
-	// BuildStart runs at the top of every module build (sync handler or
-	// async build worker) with the module name.
+	// BuildStart runs at the top of every module build (sync upload, async
+	// build worker or store recovery) with the module name. A panic in it
+	// fails that build like a panic in the build itself.
 	BuildStart(module string)
 	// QueryStart runs after a /v1/query batch passes admission and
 	// decoding, before evaluation.

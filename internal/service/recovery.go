@@ -13,13 +13,13 @@ import (
 // replay the service sheds queries and uploads with the retryable
 // "recovering" reason; /readyz reports the same.
 //
-// Each live record re-runs the full build chain through Build — the
+// Each live record re-runs the full build chain, as an upload does — the
 // frozen-index and interner contracts hold for recovered modules exactly
 // as for uploaded ones. A record that fails to build (a format the binary
-// no longer accepts, a module renamed over) is logged and skipped but left
-// in the store: the next binary may build it again. A record that fails
-// its checksum never reaches here — the store quarantines it during
-// replay and it is counted, not served.
+// no longer accepts, a module renamed over, a build that panics) is logged
+// and skipped but left in the store: the next binary may build it again.
+// A record that fails its checksum never reaches here — the store
+// quarantines it during replay and it is counted, not served.
 //
 // Recovery is not re-entrant and must run before the first upload is
 // accepted; the recovering gate enforces the latter.
@@ -36,12 +36,13 @@ func (s *Service) Recover() error {
 	rebuilt, skipped := 0, 0
 	replayed, err := s.store.Replay(func(rec store.Record) error {
 		h := NewPending(rec.Name, rec.Format)
-		if berr := h.Build(string(rec.Source), s.cfg.MaxSourceBytes); berr != nil {
+		if berr := s.build(h, string(rec.Source)); berr != nil {
 			s.log.Error("recovered module failed to build; skipping",
 				"module", rec.Name, "error", berr)
 			skipped++
 			return nil
 		}
+		h.finishReady()
 		if aerr := s.reg.Add(h); aerr != nil {
 			s.log.Error("recovered module not registered; skipping",
 				"module", rec.Name, "error", aerr)

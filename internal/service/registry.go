@@ -228,9 +228,10 @@ func estimateMem(srcLen int, st ir.Stats, values int, ix *alias.Index, exprs int
 // from it and fills the built fields on success; the chain itself is
 // dropped once the index holds its verdicts. Everything the build creates
 // belongs to this handle alone, so retiring it frees all of it. It does
-// NOT publish a state transition — the caller decides (Build for
-// standalone handles, Registry.Finish for async builds, where promotion
-// into the module table and the Ready transition must agree).
+// NOT publish a state transition — the caller decides (BuildHandle and
+// the sync upload and recovery paths for standalone handles,
+// Registry.Finish for async builds, where promotion into the module table
+// and the Ready transition must agree).
 func (h *Handle) runBuild(src string, maxSourceBytes int) error {
 	if maxSourceBytes > 0 && len(src) > maxSourceBytes {
 		return fmt.Errorf("source is %d bytes, exceeding the %d-byte limit", len(src), maxSourceBytes)
@@ -287,27 +288,16 @@ func (h *Handle) fail(err error) {
 	h.state.Store(int32(StateFailed))
 }
 
-// Build runs the parse/verify/analyze chain synchronously — compiling the
-// alias index and planner — and transitions the handle to Ready or Failed.
-// The returned error (also recorded on the handle) is safe to echo to
-// clients.
-func (h *Handle) Build(src string, maxSourceBytes int) error {
-	if err := h.runBuild(src, maxSourceBytes); err != nil {
-		h.fail(err)
-		return err
-	}
-	h.finishReady()
-	return nil
-}
-
 // BuildHandle parses (enforcing maxSourceBytes), verifies, and analyzes one
-// module source synchronously. format is "ir" or "minic". The returned
-// error is safe to echo to clients.
+// module source synchronously — compiling the alias index and planner — and
+// returns the Ready handle. format is "ir" or "minic". The returned error
+// is safe to echo to clients.
 func BuildHandle(name, format, src string, maxSourceBytes int) (*Handle, error) {
 	h := NewPending(name, format)
-	if err := h.Build(src, maxSourceBytes); err != nil {
+	if err := h.runBuild(src, maxSourceBytes); err != nil {
 		return nil, err
 	}
+	h.finishReady()
 	return h, nil
 }
 

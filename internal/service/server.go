@@ -372,13 +372,17 @@ func (s *Service) handleCreateModule(w http.ResponseWriter, r *http.Request) {
 		// duplicate semantics of a serial upload sequence.
 		h := NewPending(name, format)
 		buildStart := time.Now()
-		s.injectBuild(name)
-		err := h.Build(string(src), s.cfg.MaxSourceBytes)
+		err := s.build(h, string(src))
 		s.observeBuild(name, "sync", buildStart, err)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			code := http.StatusBadRequest
+			if errors.As(err, new(buildPanic)) {
+				code = http.StatusInternalServerError
+			}
+			writeError(w, code, "%v", err)
 			return
 		}
+		h.finishReady()
 		// Pin across publish + encode so a DELETE racing in right after Add
 		// cannot tear the handle down under moduleInfo.
 		h.refs.Add(1)
@@ -425,8 +429,7 @@ func (s *Service) handleCreateModule(w http.ResponseWriter, r *http.Request) {
 	if !s.builds.Submit(func() {
 		defer h.Release()
 		buildStart := time.Now()
-		s.injectBuild(h.Name)
-		err := h.runBuild(string(src), s.cfg.MaxSourceBytes)
+		err := s.build(h, string(src))
 		s.observeBuild(h.Name, "async", buildStart, err)
 		s.reg.Finish(h, err)
 		if err == nil && h.State() == StateReady {
@@ -650,6 +653,25 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	m.queryDur.Observe(now.Sub(start).Seconds())
 	m.queryPairs.Add(int64(npairs))
 	m.batchPairs.Observe(float64(npairs))
+}
+
+// buildPanic is the error of a build that panicked: the module fails, the
+// process and its other modules carry on.
+type buildPanic struct{ v any }
+
+func (e buildPanic) Error() string { return fmt.Sprintf("build panicked: %v", e.v) }
+
+// build runs h's build as every path does — the chaos hook, then runBuild
+// — and turns a panic anywhere in it into a buildPanic error. It does not
+// publish a state transition (see runBuild).
+func (s *Service) build(h *Handle, src string) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = buildPanic{v}
+		}
+	}()
+	s.injectBuild(h.Name)
+	return h.runBuild(src, s.cfg.MaxSourceBytes)
 }
 
 // observeBuild records one module build's outcome counters, duration

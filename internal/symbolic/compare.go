@@ -1,5 +1,7 @@
 package symbolic
 
+import "slices"
+
 // Order is the outcome of comparing two symbolic expressions under the
 // partial order of §3.3: −∞ < … < −1 < 0 < 1 < … < +∞, with no ordering
 // between distinct kernel symbols (N and N+1 compare, N and M do not).
@@ -62,8 +64,8 @@ func (o Order) ProvesGT() bool { return o == OGt }
 
 // Compare decides the relation between a and b where possible. The result is
 // sound: any answer other than OUnknown holds for every valuation of the
-// kernel symbols. The main decision procedure subtracts canonical linear
-// forms; min/max structure is consulted for one-sided bounds.
+// kernel symbols. The main decision procedure asks whether b − a is a
+// constant; min/max structure is consulted for one-sided bounds.
 func Compare(a, b *Expr) Order {
 	if Equal(a, b) {
 		return OEq
@@ -77,7 +79,7 @@ func Compare(a, b *Expr) Order {
 	case a.IsPosInf() || b.IsNegInf():
 		return OGt
 	}
-	// d = b − a: if d reduces to a constant, its sign decides.
+	// b − a is a constant: the constants decide.
 	if o := diffSign(a, b); o != OUnknown {
 		return o
 	}
@@ -91,26 +93,48 @@ func Compare(a, b *Expr) Order {
 	return OUnknown
 }
 
-// diffSign canonicalizes d = b − a on pooled scratch and decides the order
-// by the sign of d when d is a constant — the main decision procedure, now
-// allocation-free.
+// diffSign decides the order of two finite expressions whose difference
+// b − a is a constant, which holds exactly when their canonical term lists
+// are equal (same atoms, same coefficients). The constants are compared
+// directly rather than subtracted, so the answer stays sound when b.k − a.k
+// would overflow int64.
 func diffSign(a, b *Expr) Order {
-	d := getLin()
-	d.absorb(1, b)
-	d.absorb(-1, a)
-	o := OUnknown
-	if len(d.terms) == 0 {
-		switch {
-		case d.k > 0:
-			o = OLt
-		case d.k < 0:
-			o = OGt
-		default:
-			o = OEq
-		}
+	if !sameTerms(a, b) {
+		return OUnknown
 	}
-	putLin(d)
-	return o
+	switch ka, kb := a.constPart(), b.constPart(); {
+	case ka < kb:
+		return OLt
+	case ka > kb:
+		return OGt
+	}
+	return OEq
+}
+
+// sameTerms reports whether two finite expressions have the same canonical
+// term list: a constant has none, a sum its terms, and every other node is
+// the single term 1·itself.
+func sameTerms(a, b *Expr) bool {
+	switch {
+	case a.kind == KConst || b.kind == KConst:
+		return a.kind == b.kind
+	case a.kind == KSum && b.kind == KSum:
+		return slices.Equal(a.terms, b.terms)
+	case a.kind == KSum:
+		return len(a.terms) == 1 && a.terms[0] == Term{Coeff: 1, Atom: b}
+	case b.kind == KSum:
+		return len(b.terms) == 1 && b.terms[0] == Term{Coeff: 1, Atom: a}
+	}
+	return a == b
+}
+
+// constPart is the additive constant of a finite expression: its value for
+// a literal, the constant of a sum, 0 for every other node.
+func (e *Expr) constPart() int64 {
+	if e.kind == KConst || e.kind == KSum {
+		return e.k
+	}
+	return 0
 }
 
 // minMaxBound proves an order between a and b using the min/max structure

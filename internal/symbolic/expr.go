@@ -10,8 +10,8 @@
 // opaque non-linear subexpression), and intern every node, so structurally
 // equal expressions built in one interner are pointer-equal. Structural
 // equality and the partial-order comparison of §3.3 are therefore cheap —
-// Equal is a pointer comparison and Compare runs on pooled scratch with no
-// per-call string keys.
+// Equal is a pointer comparison and Compare compares two term lists
+// in place, with no scratch and no per-call string keys.
 //
 // The symbolic kernel of a program — names that cannot be expressed as a
 // function of other names, e.g. function parameters and results of library
@@ -167,8 +167,8 @@ func (e *Expr) Size() int { return int(e.size) }
 // splits off its constant part (the remainder is interned, so equal shapes
 // are pointer-equal), and every other node is its own shape with k = 0.
 // Two expressions with the same shape differ by exactly k₁ − k₂ under every
-// valuation — the decomposition behind the compiled index's constant-only
-// disjointness fast path and the planner's symbolic sweep keys.
+// valuation — the decomposition behind the compiled alias index's bound
+// digests, which Compare's same-term-list rule orders by the constants.
 // Infinities split to themselves (they have no shape arithmetic).
 func (e *Expr) SplitConst() (shape *Expr, k int64) {
 	switch e.kind {
@@ -183,6 +183,11 @@ func (e *Expr) SplitConst() (shape *Expr, k int64) {
 		return e, 0
 	}
 }
+
+// Args returns the operands of a min, max, product, quotient or remainder
+// node (nil for every other kind), in canonical order. The slice is the
+// node's own: treat it as read-only.
+func (e *Expr) Args() []*Expr { return e.args }
 
 // Syms returns the distinct kernel symbols of e in canonical order. The
 // slice is computed once per interned node and shared by every caller: treat

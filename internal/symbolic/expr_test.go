@@ -1,6 +1,7 @@
 package symbolic
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -90,6 +91,41 @@ func TestCompareSymbolic(t *testing.T) {
 	// 2N vs N unknown (sign of N unknown).
 	if got := Compare(Mul(Const(2), n), n); got != OUnknown {
 		t.Errorf("2N vs N = %v, want unknown", got)
+	}
+}
+
+// TestCompareConstantsNearOverflow orders constants near ±2^63, where the
+// difference of the two constants does not fit in an int64: b − a wraps,
+// so Compare must order the constants themselves, not the sign of their
+// difference.
+func TestCompareConstantsNearOverflow(t *testing.T) {
+	const lo, hi = math.MinInt64, math.MaxInt64
+	n, m := Sym("N"), Sym("M")
+	cases := []struct {
+		name string
+		a, b *Expr
+		want Order
+	}{
+		{"2^62 vs -2^63+10", Const(1 << 62), Const(lo + 10), OGt},
+		{"-2^63+10 vs 2^62", Const(lo + 10), Const(1 << 62), OLt},
+		{"-2^63 vs 2^63-1", Const(lo), Const(hi), OLt},
+		{"2^63-1 vs -2^63", Const(hi), Const(lo), OGt},
+		{"-2^63 vs 1", Const(lo), Const(1), OLt},
+		{"-2^63 vs -2^63+1", Const(lo), Const(lo + 1), OLt},
+		{"N-2^63 vs N+2^63-1", AddConst(n, lo), AddConst(n, hi), OLt},
+		{"N+2^63-1 vs N-2^63", AddConst(n, hi), AddConst(n, lo), OGt},
+		{"N+2^63-1 vs N", AddConst(n, hi), n, OGt},
+		{"N vs N-2^63", n, AddConst(n, lo), OGt},
+		{"2N-2^63 vs 2N+2^62", AddConst(Mul(Const(2), n), lo), AddConst(Mul(Const(2), n), 1<<62), OLt},
+		// One level of max: N+2^63-1 > N-2^63 proves max(N+2^63-1, M) > N-2^63.
+		{"max(N+2^63-1,M) vs N-2^63", Max(AddConst(n, hi), m), AddConst(n, lo), OGt},
+		{"N-2^63 vs max(N+2^63-1,M)", AddConst(n, lo), Max(AddConst(n, hi), m), OLt},
+		{"min(N-2^63,M) vs N+2^63-1", Min(AddConst(n, lo), m), AddConst(n, hi), OLt},
+	}
+	for _, c := range cases {
+		if got := Compare(c.a, c.b); got != c.want {
+			t.Errorf("%s: Compare(%s, %s) = %v, want %v", c.name, c.a, c.b, got, c.want)
+		}
 	}
 }
 
